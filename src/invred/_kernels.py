@@ -28,6 +28,12 @@ except ImportError:
 
 _INT64_SAFE = 2**62
 
+# Largest accepted modulus, the largest prime below 2^20: then a product of
+# residues is below 2^40, so every unreduced int64 sum stays below 2^63 (one
+# product per rref outer-product entry, 2^62 / (p-1)^2 per matmul chunk, and
+# at most n per next_level entry for any n whose n x n matrix fits in memory).
+MAX_PRIME = 1_048_573
+
 
 # ---------------------------------------------------------------------------
 # numba loop kernels
@@ -250,16 +256,10 @@ def nullspace_mod(a, p: int, impl: dict | None = None) -> np.ndarray:
     """
     impl = impl or _ACTIVE
     m, piv = rref_mod(a, p, impl)
-    cols = m.shape[1]
-    pivset = {int(c) for c in piv}
-    free = [c for c in range(cols) if c not in pivset]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for row, fc in enumerate(free):
-        basis[row, fc] = 1
-        for r, pc in enumerate(piv):
-            v = m[r, fc]
-            if v:
-                basis[row, pc] = (-v) % p
+    free = np.setdiff1d(np.arange(m.shape[1]), piv)
+    basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = -m[: len(piv), free].T % p
     return basis
 
 

@@ -43,6 +43,7 @@ from .formats import (
 from .gfp import Prime, lucas_binomial, lucas_factors
 from .group import enumerate_group, example_action, fixed_space
 from .invariants import (
+    _epsilon_search,
     enumerate_fixed_points,
     epsilon,
     invariant_basis,
@@ -63,15 +64,15 @@ def _epsilon_payload(result) -> dict:
     return payload
 
 
+def _spec_inputs(args) -> dict:
+    return {"spec": str(args.spec), "spec_digest": digest_inputs(Path(args.spec).read_text())}
+
+
 def _cmd_basis(args) -> dict:
     spec = load_group_spec(args.spec)
     basis = invariant_basis(spec, args.degree)
     return {
-        "inputs": {
-            "spec": str(args.spec),
-            "spec_digest": digest_inputs(Path(args.spec).read_text()),
-            "degree": args.degree,
-        },
+        "inputs": {**_spec_inputs(args), "degree": args.degree},
         "result": {
             "p": int(spec.p),
             "n": spec.n,
@@ -88,12 +89,7 @@ def _cmd_epsilon(args) -> dict:
     vec = parse_vector(args.vector, spec)
     result = epsilon(spec, vec, bound=args.bound)
     return {
-        "inputs": {
-            "spec": str(args.spec),
-            "spec_digest": digest_inputs(Path(args.spec).read_text()),
-            "vector": vec,
-            "bound": args.bound,
-        },
+        "inputs": {**_spec_inputs(args), "vector": vec, "bound": args.bound},
         "result": {"p": int(spec.p), "n": spec.n, **_epsilon_payload(result)},
     }
 
@@ -188,24 +184,20 @@ def _cmd_delta(args) -> dict:
     spec = load_group_spec(args.spec)
     elements = enumerate_group(spec)
     basis = fixed_space(spec)
-    per_point = []
-    best = 0
-    for vec in enumerate_fixed_points(spec):
-        res = epsilon(spec, vec, bound=elements.order)
-        per_point.append({"vector": [int(x) for x in vec], "epsilon": res.value})
-        best = max(best, res.value)
+    points = list(enumerate_fixed_points(spec))
+    results = _epsilon_search(spec, points, elements.order)
     return {
-        "inputs": {
-            "spec": str(args.spec),
-            "spec_digest": digest_inputs(Path(args.spec).read_text()),
-        },
+        "inputs": _spec_inputs(args),
         "result": {
             "p": int(spec.p),
             "n": spec.n,
             "group_order": elements.order,
             "fixed_space_dimension": len(basis),
-            "value": best,
-            "per_point": per_point,
+            "value": max((res.value for res in results), default=0),
+            "per_point": [
+                {"vector": [int(x) for x in vec], "epsilon": res.value}
+                for vec, res in zip(points, results)
+            ],
         },
     }
 
@@ -219,15 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"invred {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--output", type=Path, default=None, help="write the report to a file")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized subroutines; echoed in the report")
-
     sp = sub.add_parser("basis", help="invariant basis of one graded slice")
     sp.add_argument("--spec", required=True, type=Path, help="group spec JSON file")
     sp.add_argument("--degree", required=True, type=int)
-    common(sp)
     sp.set_defaults(func=_cmd_basis)
 
     sp = sub.add_parser("epsilon", help="minimal separating degree at a point")
@@ -235,35 +221,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vector", required=True, help="comma-separated residues")
     sp.add_argument("--bound", type=int, default=None,
                     help="search bound; defaults to the group order")
-    common(sp)
     sp.set_defaults(func=_cmd_epsilon)
 
     sp = sub.add_parser("reduce", help="reduce a separating invariant to p-power degree")
     sp.add_argument("--spec", required=True, type=Path)
     sp.add_argument("--poly", required=True, type=Path, help="polynomial JSON file")
     sp.add_argument("--vector", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("example", help="run the built-in Z_p x Z_p family end to end")
     sp.add_argument("--p", required=True, type=int)
     sp.add_argument("--m", required=True, type=int)
     sp.add_argument("--lambda", dest="lam", type=int, default=0)
-    common(sp)
     sp.set_defaults(func=_cmd_example)
 
     sp = sub.add_parser("lucas", help="binomial coefficient mod p, digit-wise")
     sp.add_argument("--a", required=True, type=int)
     sp.add_argument("--b", required=True, type=int)
     sp.add_argument("--p", required=True, type=int)
-    common(sp)
     sp.set_defaults(func=_cmd_lucas)
 
     sp = sub.add_parser("delta", help="max separating degree over nonzero fixed points")
     sp.add_argument("--spec", required=True, type=Path)
-    common(sp)
     sp.set_defaults(func=_cmd_delta)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--output", type=Path, default=None, help="write the report to a file")
     return parser
 
 
@@ -290,7 +273,6 @@ def main(argv=None) -> int:
     report = {
         "command": args.command,
         "backend": backend(),
-        **({"seed": args.seed} if getattr(args, "seed", None) is not None else {}),
         **report,
         "timing_seconds": round(elapsed, 6),
     }

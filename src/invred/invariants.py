@@ -2,16 +2,17 @@
 
 The degree-d slice of the polynomial ring is finite dimensional, with the
 descending graded-lex monomials as coordinates. Each group element acts on a
-slice by an exact matrix over GF(p); invariants of degree d are the common
-nullspace of (action - identity) over the generators, computed by exact
-Gaussian elimination.
+slice by an exact matrix over GF(p), built from the one a degree below;
+invariants of degree d are the common nullspace of (action - identity) over
+the generators, computed by exact Gaussian elimination.
 
 epsilon(spec, v) is the least positive degree of a homogeneous invariant that
 does not vanish at v. For a nonzero fixed point of a finite group it is
 always finite: the orbit norm of a coordinate functional nonzero at v is an
 invariant of degree |G| with value l(v)^|G| != 0 there. That makes |G| an
 exact default search bound, and the maximum of epsilon over the nonzero fixed
-points (delta_over_fixed_points) well defined.
+points (delta_over_fixed_points) well defined. Both walk the degrees once,
+with one elimination per degree shared by every point not yet separated.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .group import (
     DEFAULT_GROUP_CAP,
     GroupSpec,
     MatrixGFp,
+    act,
     as_vector,
     enumerate_group,
     fixed_space,
@@ -74,19 +76,28 @@ def slice_limit() -> int:
     return DEFAULT_SLICE_LIMIT
 
 
-def slice_images(subst: np.ndarray, degree: int, p: Prime) -> np.ndarray:
-    """Row t = coordinates of the image of the t-th degree-d monomial.
+def slice_levels(subst: np.ndarray, p: Prime) -> Iterator[np.ndarray]:
+    """Slice images of degree 1, 2, ...: row t of the degree-d item holds the
+    coordinates of the image of the t-th degree-d monomial.
 
-    ``subst`` is the substitution matrix (row i = image of x_i). Images are
-    built one degree at a time: a monomial is a parent monomial times one
-    variable, so its image is the parent image times one substituted variable.
+    ``subst`` is the substitution matrix (row i = image of x_i). A monomial
+    is a parent monomial times one variable, so its image is the parent
+    image times one substituted variable: each level is built from the last.
     """
     n = subst.shape[0]
     level = np.ones((1, 1), dtype=np.int64)
-    for k in range(1, degree + 1):
+    for k in itertools.count(1):
         parent_rank, parent_var = parent_table(n, k)
         promote = promote_table(n, k - 1)
         level = _kernels.next_slice_level(level, parent_rank, parent_var, promote, subst, p)
+        yield level
+
+
+def slice_images(subst: np.ndarray, degree: int, p: Prime) -> np.ndarray:
+    """The degree-th item of ``slice_levels``; degree 0 gives the 1x1 identity."""
+    level = np.ones((1, 1), dtype=np.int64)
+    for level in itertools.islice(slice_levels(subst, p), degree):
+        pass
     return level
 
 
@@ -114,6 +125,24 @@ class DegreeSliceBasis:
         return len(self.basis)
 
 
+def _invariant_rows(n: int, degree: int, images: Iterable[np.ndarray], p: Prime) -> np.ndarray:
+    """Basis of the degree-d invariants as coordinate rows.
+
+    ``images`` yields each generator's slice images, the transpose of its
+    action; they are built only once the slice-dimension guard has passed.
+    """
+    dim = slice_dimension(n, degree)
+    limit = slice_limit()
+    if dim > limit:
+        raise SliceLimitError(
+            f"slice dimension {dim} at degree {degree} exceeds limit {limit}"
+        )
+    blocks = np.stack([table.T for table in images])  # action - identity, per generator
+    diag = np.arange(dim)
+    blocks[:, diag, diag] = (blocks[:, diag, diag] - 1) % p
+    return _kernels.nullspace_mod(blocks.reshape(-1, dim), p)
+
+
 def invariant_basis(spec: GroupSpec, degree: int) -> DegreeSliceBasis:
     """Deterministic basis of the degree-d invariants of the group.
 
@@ -124,18 +153,8 @@ def invariant_basis(spec: GroupSpec, degree: int) -> DegreeSliceBasis:
     if degree < 1:
         raise DomainError(f"degree must be positive, got {degree}")
     n, p = spec.n, spec.p
-    dim = slice_dimension(n, degree)
-    limit = slice_limit()
-    if dim > limit:
-        raise SliceLimitError(
-            f"slice dimension {dim} at degree {degree} exceeds limit {limit}"
-        )
-    eye = np.eye(dim, dtype=np.int64)
-    blocks = []
-    for g in spec.generators:
-        action = slice_images(g.inv().entries, degree, p).T
-        blocks.append((action - eye) % p)
-    rows = _kernels.nullspace_mod(np.vstack(blocks), p)
+    images = (slice_images(g.inv().entries, degree, p) for g in spec.generators)
+    rows = _invariant_rows(n, degree, images, p)
     basis = tuple(Polynomial.from_coordinates(p, n, degree, row) for row in rows)
     return DegreeSliceBasis(degree=degree, basis=basis)
 
@@ -159,9 +178,36 @@ class EpsilonResult:
         return self.value is not None
 
 
-def _pick_witness(candidates: list[Polynomial]) -> Polynomial:
-    # smallest leading monomial in graded-lex; earliest basis element on ties
-    return min(candidates, key=lambda b: b.leading_monomial())
+def _epsilon_search(spec: GroupSpec, points: Sequence, bound: int) -> list[EpsilonResult]:
+    """epsilon at each point, walking degrees 1..bound once for all of them.
+
+    Each degree extends every generator's slice action by one level, takes
+    one nullspace and evaluates its basis at the points not yet separated,
+    whose monomial values are also extended one degree at a time.
+    """
+    n, p = spec.n, spec.p
+    levels = [slice_levels(g.inv().entries, p) for g in spec.generators]
+    results = [EpsilonResult(value=None, witness=None, searched_bound=bound)] * len(points)
+    coords = np.array(points, dtype=np.int64).reshape(len(points), n)
+    unresolved = np.arange(len(points))
+    values = np.ones((len(points), 1), dtype=np.int64)  # monomial values at the points
+    for d in range(1, bound + 1):
+        if not unresolved.size:
+            break
+        rows = _invariant_rows(n, d, (next(it) for it in levels), p)
+        parent_rank, parent_var = parent_table(n, d)
+        values = values[:, parent_rank] * coords[unresolved][:, parent_var] % p
+        nonzero = _kernels.matmul_mod(rows, values.T, p) != 0
+        found = nonzero.any(axis=0)
+        # witness: smallest leading monomial in graded-lex, i.e. the latest
+        # first nonzero coordinate; earliest basis element on ties
+        leads = (rows != 0).argmax(axis=1)
+        for j in np.flatnonzero(found):
+            row = rows[np.argmax(np.where(nonzero[:, j], leads, -1))]
+            witness = Polynomial.from_coordinates(p, n, d, row)
+            results[unresolved[j]] = EpsilonResult(value=d, witness=witness, searched_bound=bound)
+        values, unresolved = values[~found], unresolved[~found]
+    return results
 
 
 def epsilon(
@@ -172,8 +218,9 @@ def epsilon(
 ) -> EpsilonResult:
     """Least degree of a homogeneous invariant nonzero at v, with a witness.
 
-    Searches degrees 1..bound. When ``bound`` is omitted the group is
-    enumerated and |G| is used, which is exact for nonzero fixed points.
+    Searches degrees 1..bound, one elimination per degree. When ``bound`` is
+    omitted the group is enumerated and |G| is used, which is exact for
+    nonzero fixed points.
     """
     vec = as_vector(v, spec.n, spec.p)
     if not vec.any():
@@ -182,12 +229,7 @@ def epsilon(
         bound = enumerate_group(spec, cap).order
     elif bound < 1:
         raise DomainError("bound must be positive")
-    for d in range(1, bound + 1):
-        slice_basis = invariant_basis(spec, d)
-        candidates = [b for b in slice_basis.basis if b.evaluate(vec)]
-        if candidates:
-            return EpsilonResult(value=d, witness=_pick_witness(candidates), searched_bound=bound)
-    return EpsilonResult(value=None, witness=None, searched_bound=bound)
+    return _epsilon_search(spec, [vec], bound)[0]
 
 
 def orbit_norm(spec: GroupSpec, l: Polynomial, cap: int = DEFAULT_GROUP_CAP) -> Polynomial:
@@ -198,8 +240,6 @@ def orbit_norm(spec: GroupSpec, l: Polynomial, cap: int = DEFAULT_GROUP_CAP) -> 
     """
     if l.is_zero or not l.is_homogeneous() or l.degree() != 1:
         raise DomainError("orbit norm needs a homogeneous linear form")
-    from .group import act
-
     result = Polynomial.one(l.p, l.nvars)
     for g in enumerate_group(spec, cap):
         result = result * act(g, l)
@@ -233,13 +273,9 @@ def delta_over_fixed_points(
 ) -> int:
     """Maximum of epsilon over the nonzero fixed points; 0 if there are none.
 
-    Each point search is bounded by |G|, which the orbit norm makes exact,
-    so every epsilon here is finite.
+    One search to |G|, which the orbit norm makes exact, serves every point,
+    each degree's elimination shared, so every epsilon here is finite.
     """
     order = enumerate_group(spec, cap).order
-    best = 0
-    for vec in enumerate_fixed_points(spec, max_points):
-        result = epsilon(spec, vec, bound=order, cap=cap)
-        assert result.value is not None  # orbit norm guarantees a witness
-        best = max(best, result.value)
-    return best
+    results = _epsilon_search(spec, list(enumerate_fixed_points(spec, max_points)), order)
+    return max((r.value for r in results), default=0)

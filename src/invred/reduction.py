@@ -76,12 +76,8 @@ def extend_to_basis(v: Sequence, p) -> MatrixGFp:
     Completion rule (fixed for reproducibility): scan the standard unit
     vectors in index order and keep each one that enlarges the span.
     """
-    p = Prime(p)
-    vec = np.asarray(
-        [int(x) % p if not isinstance(x, FieldElement) else x.residue for x in v],
-        dtype=np.int64,
-    )
-    n = vec.shape[0]
+    n = len(v)
+    vec = as_vector(v, n, p)
     if not vec.any():
         raise DomainError("cannot extend the zero vector to a basis")
     cols = [vec]

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from invred import example_action
+from invred import epsilon, example_action
 from invred.cli import main
-from invred.formats import group_spec_json
+from invred.formats import group_spec_json, load_group_spec
 
 SECT3_P2 = {
     "p": 2,
@@ -76,6 +76,14 @@ def test_basis_nonprime_modulus(tmp_path, capsys):
     code, _, err = run_cli(capsys, "basis", "--spec", str(spec), "--degree", "1")
     assert code == 2
     assert "not prime" in err
+
+
+def test_basis_prime_above_kernel_range_exits_2(tmp_path, capsys):
+    p = 1048583  # next prime after 1048573, the largest accepted
+    spec = write_json(tmp_path, "big.json", {"p": p, "n": 1, "generators": [[[1]]]})
+    code, _, err = run_cli(capsys, "basis", "--spec", str(spec), "--degree", "1")
+    assert code == 2
+    assert "1048573" in err
 
 
 def test_basis_missing_file(tmp_path, capsys):
@@ -245,6 +253,9 @@ def test_delta_family_p2(tmp_path, capsys):
     assert report["result"]["group_order"] == 4
     assert report["result"]["fixed_space_dimension"] == 2
     assert len(report["result"]["per_point"]) == 3
+    group = load_group_spec(spec)
+    for entry in report["result"]["per_point"]:
+        assert entry["epsilon"] == epsilon(group, entry["vector"]).value
 
 
 # ---- report plumbing -------------------------------------------------------------
@@ -274,14 +285,6 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["result"]["dimension"] == 2
-
-
-def test_seed_is_echoed(tmp_path, capsys):
-    spec = write_json(tmp_path, "spec.json", SECT3_P2)
-    report = run_report(
-        capsys, "basis", "--spec", str(spec), "--degree", "1", "--seed", "7"
-    )
-    assert report["seed"] == 7
 
 
 def test_version_flag(capsys):

@@ -67,6 +67,17 @@ def test_matrix_pow_and_getitem():
     assert g[1, 0] == FieldElement(1, Prime(3))
 
 
+def test_largest_kernel_prime_inverts_exactly():
+    p = 1048573  # largest prime below 2^20
+    g = MatrixGFp([[p - 1, p - 2], [p - 3, p - 5]], p)
+    assert g @ g.inv() == MatrixGFp.identity(2, p)
+
+
+def test_prime_above_kernel_range_is_rejected():
+    with pytest.raises(DomainError):
+        MatrixGFp([[1, 0], [0, 1]], 1048583)  # next prime after 1048573
+
+
 def test_matrix_shape_validation():
     with pytest.raises(ShapeMismatchError):
         MatrixGFp([[1, 2, 3], [4, 5, 6]], 7)
@@ -228,19 +239,21 @@ def test_invariance_extends_to_whole_group():
             assert act(g, f) == f
 
 
-def test_is_invariant_dense_route_agrees_with_sparse():
-    # the dense slice check must match plain substitution on dense invariants
+def test_is_invariant_on_many_term_high_degree_components():
+    # many-term components of high degree, accepted and rejected alike
     spec = example_action(3, 2, 1)
     from invred import invariant_basis, orbit_norm
 
     w = invariant_basis(spec, 9).basis[0]
-    big = w * w  # degree 18, enough terms to trigger the dense route
+    big = w * w  # degree 18 with many terms
     assert is_invariant(big, spec)
     for g in spec.generators:
         assert act(g, big) == big
     x0 = Polynomial.variable(3, 4, 0)
     norm = orbit_norm(spec, x0)
     assert is_invariant(norm, spec)
+    x3 = Polynomial.variable(3, 4, 3)
+    assert not is_invariant(big + x3**18, spec)
 
 
 # ---- the built-in family ------------------------------------------------------

@@ -74,6 +74,18 @@ def test_induced_matches_act_on_monomials():
                 assert np.array_equal(got, expected)
 
 
+def test_induced_matches_act_at_largest_kernel_prime():
+    p = 1048573  # largest prime below 2^20
+    g = MatrixGFp([[p - 1, p - 2], [p - 3, p - 5]], p)
+    for d in (1, 2, 3):
+        m = induced_slice_matrix(g, d)
+        for mono in monomial_basis(2, d):
+            f = Polynomial.monomial(p, 2, mono.exponents)
+            expected = act(g, f).coordinates(d)
+            got = (m.entries @ f.coordinates(d)) % p  # at most 4 products < 2^40
+            assert np.array_equal(got, expected)
+
+
 def test_induced_is_multiplicative():
     rng = random.Random(7)
     p, n, d = 3, 3, 3
@@ -189,6 +201,9 @@ def test_epsilon_witness_properties():
         # no earlier degree separates
         for d in range(1, res.value):
             assert all(not b.evaluate(v) for b in invariant_basis(spec, d).basis)
+        # the witness is the separating basis element with the least leading monomial
+        separating = [b for b in invariant_basis(spec, res.value).basis if b.evaluate(v)]
+        assert w == min(separating, key=lambda b: b.leading_monomial())
 
 
 def test_epsilon_scaling_invariance():
