@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the numba kernels against the pure-numpy fallbacks.
 
-Times the three hot loops on random inputs:
+Times the three hot loops on random dense inputs, and the elimination on one
+fixed sparse system:
 
     rref        reduced row echelon form mod p (drives nullspaces and inverses)
+    rref family the stacked (action - identity) system of example_action(3, 3, 0)
+                at degree 8, 2574 x 1287 over GF(3) with under 0.4% nonzeros
     matmul      matrix product mod p
     slice       monomial-image table for one graded slice (degree given by
                 --degree on an n-variable substitution, n from --nvars)
@@ -21,7 +24,7 @@ import time
 
 import numpy as np
 
-from invred import _kernels
+from invred import _kernels, example_action, induced_slice_matrix
 from invred.poly import parent_table, promote_table
 
 
@@ -38,6 +41,13 @@ def time_call(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def family_system():
+    """Stacked (degree-8 slice action - identity) of example_action(3, 3, 0)."""
+    mats = [induced_slice_matrix(g, 8).entries for g in example_action(3, 3, 0).generators]
+    eye = np.eye(mats[0].shape[0], dtype=np.int64)
+    return np.vstack([(mat - eye) % 3 for mat in mats])
 
 
 def slice_images_with(impl, subst, degree, p):
@@ -76,14 +86,14 @@ def main():
         _kernels.matmul_mod(warm, warm, p, impl)
         slice_images_with(impl, random_array(rng, 3, 3, p), 3, p)
 
-    header = f"{'kernel':<22}" + "".join(f"{name:>12}" for name in impls)
+    header = f"{'kernel':<28}" + "".join(f"{name:>12}" for name in impls)
     if len(impls) == 2:
         header += f"{'speedup':>10}"
     print(header)
     print("-" * len(header))
 
     def report(label, times):
-        row = f"{label:<22}" + "".join(f"{times[name] * 1000:>10.2f}ms" for name in impls)
+        row = f"{label:<28}" + "".join(f"{times[name] * 1000:>10.2f}ms" for name in impls)
         if len(times) == 2:
             a, b = (times[n] for n in impls)  # sorted: numba, numpy
             row += f"{b / a:>9.1f}x"
@@ -96,6 +106,13 @@ def main():
             for name, impl in impls.items()
         }
         report(f"rref {size}x{size}", times)
+
+    system = family_system()
+    times = {
+        name: time_call(lambda im=impl: _kernels.rref_mod(system, 3, im), args.repeats)
+        for name, impl in impls.items()
+    }
+    report(f"rref family d=8 {system.shape[0]}x{system.shape[1]}", times)
 
     for size in sizes:
         a = random_array(rng, size, size, p)

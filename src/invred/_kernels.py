@@ -11,6 +11,13 @@ picks the implementation at import time:
 All arrays are int64 with entries reduced mod p. The numpy paths chunk or
 bound intermediate products so nothing overflows int64; the numba paths
 reduce as they go. ``benchmarks/bench_kernels.py`` compares the two.
+
+The numpy elimination and slice-level kernels touch only nonzero support:
+an RREF pivot updates the other rows on the pivot row's nonzero columns, and
+a slice level scatters, for each variable x_u, only the rows whose parent
+variable's image involves x_u. The slice systems of the family groups are
+well under 1% nonzero; on dense input the support is the whole rest of the
+row, so the work is what a dense update does.
 """
 
 from __future__ import annotations
@@ -137,22 +144,29 @@ if _HAVE_NUMBA:
 
 def _rref_numpy(a, p):
     rows, cols = a.shape
+    flat = a.reshape(-1)  # a view: rref_mod hands over a C-ordered copy
     piv = []
     r = 0
     for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = np.nonzero(a[:, c])[0]
+        k = nz.searchsorted(r)  # the pivot is the first nonzero at or below row r
+        if k == nz.size:
             continue
-        i = r + int(nz[0])
+        i = int(nz[k])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
+        # row r is zero left of c, so only its support takes part in the
+        # scaling and the updates
+        support = np.nonzero(a[r])[0]
+        row = a[r, support] * pow(int(a[r, c]), p - 2, p) % p
+        a[r, support] = row
+        # after the swap column c is nonzero in rows nz with i replaced by r
+        others = nz[nz != i]
         if others.size:
-            # entries < p, so the outer product stays below p^2: safe in int64
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+            # entries < p, so the outer product stays below p^2: safe in int64;
+            # block holds the flat indices of the (others, support) entries
+            block = (others * cols)[:, None] + support
+            flat[block] = (flat[block] - a[others, c, None] * row) % p
         piv.append(c)
         r += 1
         if r == rows:
@@ -174,14 +188,20 @@ def _matmul_numpy(a, b, p):
 def _next_level_numpy(prev, parent_rank, parent_var, promote, subst, p):
     nt = parent_rank.shape[0]
     n = subst.shape[0]
-    gathered = prev[parent_rank]
-    weights = subst[parent_var]
     out = np.zeros((nt, nt), dtype=np.int64)
+    flat = out.reshape(-1)
     for u in range(n):
+        # only the rows whose parent variable's image involves x_u contribute
+        weights = subst[parent_var, u]
+        rows = np.nonzero(weights)[0]
+        if not rows.size:
+            continue
         # multiplying by x_u is injective on monomials, so the target columns
         # promote[:, u] are distinct and fancy-index accumulation is exact
-        out[:, promote[:, u]] += weights[:, u, None] * gathered
-    return out % p
+        terms = prev[parent_rank[rows]]
+        terms *= weights[rows, None]
+        flat[(rows * nt)[:, None] + promote[:, u]] += terms
+    return np.remainder(out, p, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +250,12 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _prep(a) -> np.ndarray:
+def _prep(a, p: int) -> np.ndarray:
+    """A C-ordered int64 copy of ``a``, reduced mod p in place."""
     arr = np.array(a, dtype=np.int64, order="C")
     if arr.ndim != 2:
         raise ValueError("expected a 2-D array")
-    return arr
+    return np.remainder(arr, p, out=arr)
 
 
 def rref_mod(a, p: int, impl: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +264,7 @@ def rref_mod(a, p: int, impl: dict | None = None) -> tuple[np.ndarray, np.ndarra
     Returns (rref matrix, pivot column indices).
     """
     impl = impl or _ACTIVE
-    m = _prep(a) % p
+    m = _prep(a, p)
     rank, piv = impl["rref"](m, p)
     return m, np.asarray(piv[:rank])
 
@@ -266,7 +287,7 @@ def nullspace_mod(a, p: int, impl: dict | None = None) -> np.ndarray:
 def matmul_mod(a, b, p: int, impl: dict | None = None) -> np.ndarray:
     """Exact matrix product mod p."""
     impl = impl or _ACTIVE
-    am, bm = _prep(a) % p, _prep(b) % p
+    am, bm = _prep(a, p), _prep(b, p)
     if am.shape[1] != bm.shape[0]:
         raise ValueError(f"shape mismatch {am.shape} @ {bm.shape}")
     return impl["matmul"](am, bm, p)

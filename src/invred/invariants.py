@@ -137,7 +137,8 @@ def _invariant_rows(n: int, degree: int, images: Iterable[np.ndarray], p: Prime)
         raise SliceLimitError(
             f"slice dimension {dim} at degree {degree} exceeds limit {limit}"
         )
-    blocks = np.stack([table.T for table in images])  # action - identity, per generator
+    # action - identity, per generator; C-ordered, so the reshape below is a view
+    blocks = np.array([table.T for table in images], order="C")
     diag = np.arange(dim)
     blocks[:, diag, diag] = (blocks[:, diag, diag] - 1) % p
     return _kernels.nullspace_mod(blocks.reshape(-1, dim), p)

@@ -6,7 +6,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from invred import Polynomial, _kernels
+import support
+from invred import Polynomial, _kernels, example_action, induced_slice_matrix
+from invred.invariants import _invariant_rows, slice_images
 from invred.poly import slice_monomials
 
 IMPLS = sorted(_kernels.IMPLEMENTATIONS)
@@ -103,6 +105,61 @@ def test_numpy_matmul_chunking_path():
     assert np.array_equal(out, (a @ b) % p)
 
 
+def sympy_rref(a, p):
+    """RREF, pivots and nullspace of ``a`` over GF(p), computed by sympy."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    field = GF(p)
+    m = DomainMatrix([[field(int(x)) for x in row] for row in a], a.shape, field)
+    r, piv = m.rref()
+
+    def ints(dm):
+        return np.array([[int(x) for x in row] for row in dm.to_list()], dtype=np.int64)
+
+    null = ints(m.nullspace(divide_last=True)).reshape(-1, a.shape[1])
+    return ints(r).reshape(a.shape), list(piv), null
+
+
+def assert_matches_sympy(a, p, impl):
+    """Check rref_mod and nullspace_mod against sympy; return the nullspace."""
+    r, piv, null = sympy_rref(a, p)
+    got, got_piv = _kernels.rref_mod(a, p, impl)
+    assert np.array_equal(got, r)
+    assert got_piv.tolist() == piv
+    assert np.array_equal(_kernels.nullspace_mod(a, p, impl), null)
+    return null
+
+
+def test_rref_matches_sympy_on_sparse_systems(impl):
+    # sparse rows: a pivot row's support is mostly far smaller than the row
+    rng = random.Random(53)
+    for p in (2, 3, 5):
+        for _ in range(6):
+            rows, cols = rng.randrange(2, 40), rng.randrange(2, 40)
+            a = np.array(
+                [[rng.randrange(1, p) if rng.random() < 0.05 else 0 for _ in range(cols)]
+                 for _ in range(rows)],
+                dtype=np.int64,
+            )
+            a[rng.randrange(rows)] = 0
+            a[:, rng.randrange(cols)] = 0
+            assert_matches_sympy(a, p, impl)
+    # the stacked (action - identity) system of a family group at a degree
+    # with invariants, so it is rank deficient
+    spec, degree = example_action(3, 2, 1), 4
+    p = spec.p
+    system = np.vstack([
+        (induced_slice_matrix(g, degree).entries - np.eye(35, dtype=np.int64)) % p
+        for g in spec.generators
+    ])
+    images = (slice_images(g.inv().entries, degree, p) for g in spec.generators)
+    rows = _invariant_rows(spec.n, degree, images, p)
+    assert system.shape == (70, 35) and 0 < len(rows) < 35
+    assert np.count_nonzero(system) < system.size // 4
+    assert np.array_equal(rows, assert_matches_sympy(system, p, impl))
+
+
 @needs_numba
 def test_backends_agree():
     rng = random.Random(41)
@@ -142,17 +199,26 @@ def slice_images_with(impl, subst, degree, p):
 def test_next_level_matches_sparse_substitution(impl):
     # dense recursion vs the independent sparse-polynomial route
     rng = random.Random(43)
+    cases = []
     for p in (2, 3, 5):
         for _ in range(4):
             n = rng.randrange(2, 4)
             d = rng.randrange(1, 5)
-            subst = random_array(rng, n, n, p)
-            images = slice_images_with(impl, subst, d, p)
-            for t, exps in enumerate(slice_monomials(n, d)):
-                mono = Polynomial.monomial(p, n, exps)
-                expected = mono.substitute(subst)
-                got = Polynomial.from_coordinates(p, n, d, images[t])
-                assert got == expected
+            cases.append((p, d, random_array(rng, n, n, p)))
+    # sparse substitutions: unipotent, a permutation, and one with a zero
+    # column, for which no row contributes to x_1
+    for p in (2, 3, 5):
+        cases.append((p, 4, support.random_unipotent(rng, p, 3).entries))
+    cases.append((3, 4, np.eye(4, dtype=np.int64)[[2, 0, 3, 1]]))
+    cases.append((5, 4, np.array([[1, 0, 2], [3, 0, 4], [0, 0, 1]], dtype=np.int64)))
+    for p, d, subst in cases:
+        n = subst.shape[0]
+        images = slice_images_with(impl, subst, d, p)
+        for t, exps in enumerate(slice_monomials(n, d)):
+            mono = Polynomial.monomial(p, n, exps)
+            expected = mono.substitute(subst)
+            got = Polynomial.from_coordinates(p, n, d, images[t])
+            assert got == expected
 
 
 @needs_numba
