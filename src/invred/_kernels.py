@@ -144,7 +144,7 @@ if _HAVE_NUMBA:
 
 def _rref_numpy(a, p):
     rows, cols = a.shape
-    flat = a.reshape(-1)  # a view: rref_mod hands over a C-ordered copy
+    flat = a.reshape(-1)  # a view: every caller hands over a C-ordered int64 array
     piv = []
     r = 0
     for c in range(cols):
@@ -274,9 +274,17 @@ def nullspace_mod(a, p: int, impl: dict | None = None) -> np.ndarray:
 
     Deterministic: the standard free-column construction on the RREF, free
     columns in increasing order. Returns a (k, ncols) array, possibly k = 0.
+    ``a`` itself is left unchanged.
     """
+    return _nullspace_in_place(_prep(a, p), p, impl)
+
+
+def _nullspace_in_place(m: np.ndarray, p: int, impl: dict | None = None) -> np.ndarray:
+    """``nullspace_mod`` of a C-ordered int64 matrix of residues that the
+    caller gives up: ``m`` is overwritten by its RREF instead of copied."""
     impl = impl or _ACTIVE
-    m, piv = rref_mod(a, p, impl)
+    rank, piv = impl["rref"](m, p)
+    piv = np.asarray(piv[:rank])
     free = np.setdiff1d(np.arange(m.shape[1]), piv)
     basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1

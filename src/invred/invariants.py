@@ -12,7 +12,10 @@ always finite: the orbit norm of a coordinate functional nonzero at v is an
 invariant of degree |G| with value l(v)^|G| != 0 there. That makes |G| an
 exact default search bound, and the maximum of epsilon over the nonzero fixed
 points (delta_over_fixed_points) well defined. Both walk the degrees once,
-with one elimination per degree shared by every point not yet separated.
+each elimination shared by every point not yet separated. At fixed points
+only the degrees 1, p, p^2, ... are eliminated: an invariant of degree p^r*d,
+d coprime to p, that is nonzero at a fixed point yields one of degree p^r
+that is too (the p-power reduction), so there epsilon is a power of p.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -125,23 +128,29 @@ class DegreeSliceBasis:
         return len(self.basis)
 
 
-def _invariant_rows(n: int, degree: int, images: Iterable[np.ndarray], p: Prime) -> np.ndarray:
-    """Basis of the degree-d invariants as coordinate rows.
-
-    ``images`` yields each generator's slice images, the transpose of its
-    action; they are built only once the slice-dimension guard has passed.
-    """
+def _check_slice_limit(n: int, degree: int) -> None:
+    """Raise SliceLimitError before any level of a too-large slice is built."""
     dim = slice_dimension(n, degree)
     limit = slice_limit()
     if dim > limit:
         raise SliceLimitError(
             f"slice dimension {dim} at degree {degree} exceeds limit {limit}"
         )
-    # action - identity, per generator; C-ordered, so the reshape below is a view
+
+
+def _invariant_rows(images: Sequence[np.ndarray], p: Prime) -> np.ndarray:
+    """Basis of the invariants of one degree as coordinate rows.
+
+    ``images`` holds each generator's slice images of that degree, the
+    transpose of its action.
+    """
+    # action - identity, per generator: a fresh C-ordered int64 system of
+    # residues, so the reshape below is a view and it is eliminated in place
     blocks = np.array([table.T for table in images], order="C")
+    dim = blocks.shape[1]
     diag = np.arange(dim)
     blocks[:, diag, diag] = (blocks[:, diag, diag] - 1) % p
-    return _kernels.nullspace_mod(blocks.reshape(-1, dim), p)
+    return _kernels._nullspace_in_place(blocks.reshape(-1, dim), p)
 
 
 def invariant_basis(spec: GroupSpec, degree: int) -> DegreeSliceBasis:
@@ -154,8 +163,8 @@ def invariant_basis(spec: GroupSpec, degree: int) -> DegreeSliceBasis:
     if degree < 1:
         raise DomainError(f"degree must be positive, got {degree}")
     n, p = spec.n, spec.p
-    images = (slice_images(g.inv().entries, degree, p) for g in spec.generators)
-    rows = _invariant_rows(n, degree, images, p)
+    _check_slice_limit(n, degree)
+    rows = _invariant_rows([slice_images(g.inv().entries, degree, p) for g in spec.generators], p)
     basis = tuple(Polynomial.from_coordinates(p, n, degree, row) for row in rows)
     return DegreeSliceBasis(degree=degree, basis=basis)
 
@@ -182,22 +191,39 @@ class EpsilonResult:
 def _epsilon_search(spec: GroupSpec, points: Sequence, bound: int) -> list[EpsilonResult]:
     """epsilon at each point, walking degrees 1..bound once for all of them.
 
-    Each degree extends every generator's slice action by one level, takes
-    one nullspace and evaluates its basis at the points not yet separated,
-    whose monomial values are also extended one degree at a time.
+    Each degree extends every generator's slice action and the monomial
+    values at the points not yet separated by one level. Where a separator
+    can first appear, one nullspace is taken and its basis evaluated at
+    those points: at every degree in general, but only at 1, p, p^2, ... when
+    every point is fixed by the group, since epsilon is then a power of p.
     """
     n, p = spec.n, spec.p
     levels = [slice_levels(g.inv().entries, p) for g in spec.generators]
     results = [EpsilonResult(value=None, witness=None, searched_bound=bound)] * len(points)
     coords = np.array(points, dtype=np.int64).reshape(len(points), n)
+    fixed = all(
+        np.array_equal(_kernels.matmul_mod(g.entries, coords.T, p), coords.T)
+        for g in spec.generators
+    )
+    # at fixed points epsilon is a power of p: eliminate only at 1, p, p^2, ...
+    # up to the largest power of p within bound, whose divisors they are
+    stop = bound
+    if fixed:
+        stop = 1
+        while stop * p <= bound:
+            stop *= p
     unresolved = np.arange(len(points))
     values = np.ones((len(points), 1), dtype=np.int64)  # monomial values at the points
-    for d in range(1, bound + 1):
+    for d in range(1, stop + 1):
         if not unresolved.size:
             break
-        rows = _invariant_rows(n, d, (next(it) for it in levels), p)
+        _check_slice_limit(n, d)
+        tables = [next(it) for it in levels]
         parent_rank, parent_var = parent_table(n, d)
         values = values[:, parent_rank] * coords[unresolved][:, parent_var] % p
+        if fixed and stop % d:  # not a power of p
+            continue
+        rows = _invariant_rows(tables, p)
         nonzero = _kernels.matmul_mod(rows, values.T, p) != 0
         found = nonzero.any(axis=0)
         # witness: smallest leading monomial in graded-lex, i.e. the latest
@@ -219,9 +245,10 @@ def epsilon(
 ) -> EpsilonResult:
     """Least degree of a homogeneous invariant nonzero at v, with a witness.
 
-    Searches degrees 1..bound, one elimination per degree. When ``bound`` is
-    omitted the group is enumerated and |G| is used, which is exact for
-    nonzero fixed points.
+    Searches degrees 1..bound: one elimination per degree, or, when v is
+    fixed by the group, one at each of 1, p, p^2, ... up to bound, because
+    there epsilon is a power of p. When ``bound`` is omitted the group is
+    enumerated and |G| is used, which is exact for nonzero fixed points.
     """
     vec = as_vector(v, spec.n, spec.p)
     if not vec.any():
@@ -275,7 +302,7 @@ def delta_over_fixed_points(
     """Maximum of epsilon over the nonzero fixed points; 0 if there are none.
 
     One search to |G|, which the orbit norm makes exact, serves every point,
-    each degree's elimination shared, so every epsilon here is finite.
+    each elimination shared, so every epsilon here is finite.
     """
     order = enumerate_group(spec, cap).order
     results = _epsilon_search(spec, list(enumerate_fixed_points(spec, max_points)), order)

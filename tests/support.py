@@ -73,6 +73,40 @@ def random_fixed_point(rng: random.Random, spec: iv.GroupSpec) -> np.ndarray | N
     return None
 
 
+def full_walk_epsilon(spec: iv.GroupSpec, v, bound: int, bases: dict | None = None):
+    """epsilon at v by its definition, independent of the library's search.
+
+    Returns (d, witness) for the least d in 1..bound at which some element of
+    ``invariant_basis(spec, d)`` is nonzero at v, the witness being the
+    separating element with the least leading monomial (earliest on ties),
+    or (None, None). ``bases`` caches the bases by degree across calls on
+    one group.
+    """
+    bases = {} if bases is None else bases
+    for d in range(1, bound + 1):
+        if d not in bases:
+            bases[d] = iv.invariant_basis(spec, d).basis
+        separating = [b for b in bases[d] if b.evaluate(v)]
+        if separating:
+            return d, min(separating, key=lambda b: b.leading_monomial())
+    return None, None
+
+
+def p_part(order: int, p: int) -> int:
+    """The largest power of p dividing order."""
+    q = 1
+    while order % (q * p) == 0:
+        q *= p
+    return q
+
+
+def is_p_power(d: int, p: int) -> bool:
+    """Whether d is 1 or a power of p."""
+    while d % p == 0:
+        d //= p
+    return d == 1
+
+
 def product_invariant_at(rng: random.Random, spec: iv.GroupSpec, v, target: int,
                          max_part: int) -> iv.Polynomial | None:
     """Invariant of exact degree ``target`` nonzero at v, or None.

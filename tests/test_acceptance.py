@@ -152,26 +152,28 @@ def test_criterion_4_reduction_property(reduction_runs):
 
 
 def test_criterion_5_p_power_law():
+    # epsilon eliminates only at p-power degrees at fixed points, so the law is
+    # checked on a full walk over every degree 1..|G| through invariant_basis
     stream = support.spec_stream(SPEC_SEED, max_order=9)
     points_checked = 0
     exceptions = 0
     for _ in range(300):
         spec, order = next(stream)
         p = int(spec.p)
+        bases = {}
         for v in iv.enumerate_fixed_points(spec):
-            res = iv.epsilon(spec, v, bound=order)
-            assert res.is_finite, "fixed point with no separator up to |G|"
-            value = res.value
-            while value % p == 0:
-                value //= p
-            if value != 1:
+            walked, witness = support.full_walk_epsilon(spec, v, order, bases)
+            assert walked is not None, "fixed point with no separator up to |G|"
+            if not support.is_p_power(walked, p) or walked > support.p_part(order, p):
                 exceptions += 1
+            res = iv.epsilon(spec, v, bound=order)
+            assert (res.value, res.witness) == (walked, witness)
             points_checked += 1
     report_line(
         5,
         exceptions == 0 and points_checked >= 500,
         f"{points_checked} fixed points over 300 random groups: every epsilon "
-        f"a p-power or 1, {exceptions} exceptions",
+        f"a p-power or 1 and at most the p-part of |G|, {exceptions} exceptions",
     )
 
 

@@ -17,6 +17,7 @@ from invred import (
     act,
     delta_over_fixed_points,
     enumerate_fixed_points,
+    enumerate_group,
     epsilon,
     example_action,
     induced_slice_matrix,
@@ -25,6 +26,7 @@ from invred import (
     monomial_basis,
     orbit_norm,
     slice_dimension,
+    _kernels,
 )
 
 
@@ -133,8 +135,6 @@ def test_invariant_basis_elements_are_invariant_and_independent():
             assert is_invariant(b, spec)
         if basis.dimension:
             coords = np.array([b.coordinates(d) for b in basis.basis])
-            from invred import _kernels
-
             _, piv = _kernels.rref_mod(coords, p)
             assert len(piv) == basis.dimension
 
@@ -151,6 +151,23 @@ def test_slice_limit_guard(monkeypatch):
     monkeypatch.setenv("INVRED_SLICE_LIMIT", "bogus")
     with pytest.raises(DomainError):
         invariant_basis(GroupSpec.trivial(2, 3), 4)
+
+
+def test_slice_limit_guard_runs_at_every_search_degree(monkeypatch):
+    # epsilon at this fixed point eliminates only at degrees 1, 2 and 4, yet
+    # degree 3 (dimension 20) is refused before any of its levels is built
+    built = []
+    next_level = _kernels.next_slice_level
+
+    def recording(prev, parent_rank, *args):
+        built.append(len(parent_rank))
+        return next_level(prev, parent_rank, *args)
+
+    monkeypatch.setattr(_kernels, "next_slice_level", recording)
+    monkeypatch.setenv("INVRED_SLICE_LIMIT", "15")
+    with pytest.raises(SliceLimitError, match="slice dimension 20 at degree 3 exceeds limit 15"):
+        epsilon(example_action(2, 2, 0), [0, 0, 0, 1])
+    assert max(built) == 10
 
 
 # ---- epsilon ---------------------------------------------------------------------
@@ -230,10 +247,25 @@ def test_epsilon_power_law_on_fixed_points():
         if v is None:
             continue
         checked += 1
-        value = epsilon(spec, v, bound=order).value
-        while value % p == 0:
-            value //= p
-        assert value == 1
+        # the least separating degree over every degree, not only the p-powers
+        walked, witness = support.full_walk_epsilon(spec, v, order)
+        assert support.is_p_power(walked, p)
+        assert walked <= support.p_part(order, p)
+        res = epsilon(spec, v, bound=order)
+        assert (res.value, res.witness) == (walked, witness)
+
+
+def test_epsilon_at_a_non_fixed_point_walks_every_degree():
+    # a generator of order 7 over GF(2); (0, 0, 1) is not fixed, so the
+    # p-power law says nothing there and epsilon is 3
+    g = MatrixGFp([[1, 1, 1], [1, 0, 0], [1, 1, 0]], 2)
+    spec = GroupSpec(Prime(2), 3, (g,))
+    v = [0, 0, 1]
+    assert enumerate_group(spec).order == 7
+    assert list(g.apply(v)) != v
+    res = epsilon(spec, v)
+    assert res.value == 3
+    assert res.witness in invariant_basis(spec, 3).basis
 
 
 # ---- orbit norm -------------------------------------------------------------------

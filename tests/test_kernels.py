@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import support
-from invred import Polynomial, _kernels, example_action, induced_slice_matrix
+from invred import (
+    GroupSpec,
+    MatrixGFp,
+    Polynomial,
+    Prime,
+    _kernels,
+    example_action,
+    fixed_space,
+    induced_slice_matrix,
+)
 from invred.invariants import _invariant_rows, slice_images
 from invred.poly import slice_monomials
 
@@ -75,6 +84,28 @@ def test_nullspace_bruteforce_oracle(impl):
                 if not ((a @ np.asarray(x, dtype=np.int64)) % p).any()
             )
             assert count == p ** len(basis)
+
+
+def test_public_kernels_leave_their_input_unchanged(impl):
+    # already int64, C-ordered and reduced, which a shortcut that skipped the
+    # copy would accept as is; and far from its own RREF
+    p = 3
+    a = np.array([[0, 2, 1, 1], [2, 1, 0, 2], [1, 0, 2, 0], [2, 2, 2, 1]], dtype=np.int64)
+    assert a.flags.c_contiguous and a.dtype == np.int64 and (a < p).all()
+    before = a.copy()
+    rref, piv = _kernels.rref_mod(a, p, impl)
+    assert not np.array_equal(rref, a)
+    assert np.array_equal(a, before)
+    assert len(_kernels.nullspace_mod(a, p, impl)) == 4 - len(piv) == 2
+    assert np.array_equal(a, before)
+    # fixed_space eliminates the stacked (g - I) blocks of this unipotent
+    # generator, whose fixed space is spanned by the last basis vector
+    g = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int64)
+    spec = GroupSpec(Prime(p), 3, (MatrixGFp(g, p),))
+    entries = spec.generators[0].entries.copy()
+    assert [row.tolist() for row in fixed_space(spec)] == [[0, 0, 1]]
+    assert np.array_equal(spec.generators[0].entries, entries)
+    assert np.array_equal(g, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
 
 
 def test_matmul_oracle(impl):
@@ -153,8 +184,7 @@ def test_rref_matches_sympy_on_sparse_systems(impl):
         (induced_slice_matrix(g, degree).entries - np.eye(35, dtype=np.int64)) % p
         for g in spec.generators
     ])
-    images = (slice_images(g.inv().entries, degree, p) for g in spec.generators)
-    rows = _invariant_rows(spec.n, degree, images, p)
+    rows = _invariant_rows([slice_images(g.inv().entries, degree, p) for g in spec.generators], p)
     assert system.shape == (70, 35) and 0 < len(rows) < 35
     assert np.count_nonzero(system) < system.size // 4
     assert np.array_equal(rows, assert_matches_sympy(system, p, impl))
