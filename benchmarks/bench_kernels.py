@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Benchmark the exact kernels, numba against pure numpy where both exist.
 
 Times the three hot loops on random dense inputs, and the elimination on one
 fixed sparse system:
@@ -8,8 +8,9 @@ fixed sparse system:
     rref family the stacked (action - identity) system of example_action(3, 3, 0)
                 at degree 8, 2574 x 1287 over GF(3) with under 0.4% nonzeros
     matmul      matrix product mod p
-    slice       monomial-image table for one graded slice (degree given by
-                --degree on an n-variable substitution, n from --nvars)
+    slice       monomial-image tables of degree 1..--degree, in compressed
+                sparse rows, for a random n-variable substitution (n from
+                --nvars); one implementation, so one column
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -25,7 +26,7 @@ import time
 import numpy as np
 
 from invred import _kernels, example_action, induced_slice_matrix
-from invred.poly import parent_table, promote_table
+from invred.invariants import slice_images
 
 
 def random_array(rng, rows, cols, p):
@@ -48,17 +49,6 @@ def family_system():
     mats = [induced_slice_matrix(g, 8).entries for g in example_action(3, 3, 0).generators]
     eye = np.eye(mats[0].shape[0], dtype=np.int64)
     return np.vstack([(mat - eye) % 3 for mat in mats])
-
-
-def slice_images_with(impl, subst, degree, p):
-    n = subst.shape[0]
-    level = np.ones((1, 1), dtype=np.int64)
-    for k in range(1, degree + 1):
-        parent_rank, parent_var = parent_table(n, k)
-        level = _kernels.next_slice_level(
-            level, parent_rank, parent_var, promote_table(n, k - 1), subst, p, impl
-        )
-    return level
 
 
 def main():
@@ -84,7 +74,6 @@ def main():
         warm = random_array(rng, 8, 8, p)
         _kernels.rref_mod(warm, p, impl)
         _kernels.matmul_mod(warm, warm, p, impl)
-        slice_images_with(impl, random_array(rng, 3, 3, p), 3, p)
 
     header = f"{'kernel':<28}" + "".join(f"{name:>12}" for name in impls)
     if len(impls) == 2:
@@ -124,14 +113,10 @@ def main():
         report(f"matmul {size}x{size}", times)
 
     subst = random_array(rng, args.nvars, args.nvars, p)
-    dim = slice_images_with(next(iter(impls.values())), subst, args.degree, p).shape[0]
-    times = {
-        name: time_call(
-            lambda im=impl: slice_images_with(im, subst, args.degree, p), args.repeats
-        )
-        for name, impl in impls.items()
-    }
-    report(f"slice n={args.nvars} d={args.degree} ({dim})", times)
+    level = slice_images(subst, args.degree, p)
+    best = time_call(lambda: slice_images(subst, args.degree, p), args.repeats)
+    print(f"{f'slice n={args.nvars} d={args.degree} ({level.dim})':<28}{best * 1000:>10.2f}ms"
+          f"  ({len(level.vals)} nonzeros)")
 
     print(f"\nactive backend for the package: {_kernels.backend()}")
 

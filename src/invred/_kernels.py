@@ -1,28 +1,32 @@
-"""Dense exact linear algebra over GF(p): the package's hot loops.
+"""Exact linear algebra over GF(p): the package's hot loops.
 
-Every kernel exists twice: as plain loops compiled with numba's @njit, and as
-a vectorized pure-numpy fallback. The INVRED_BACKEND environment variable
-picks the implementation at import time:
+The elimination and matrix-product kernels exist twice: as plain loops
+compiled with numba's @njit, and as a vectorized pure-numpy fallback. The
+INVRED_BACKEND environment variable picks the implementation at import time:
 
     auto   (default) use numba when importable, else numpy
     numba  require numba, fail loudly if missing
     numpy  force the pure-numpy path
 
+The slice-level kernel, ``next_slice_level``, exists once, in numpy, and
+works on compressed sparse rows (``CSR``): each level is built by gathering
+the parent rows' entries, scaling and scattering them, and merging duplicate
+entries with one sort. The family groups' levels are under 1% nonzero.
+
 All arrays are int64 with entries reduced mod p. The numpy paths chunk or
 bound intermediate products so nothing overflows int64; the numba paths
 reduce as they go. ``benchmarks/bench_kernels.py`` compares the two.
 
-The numpy elimination and slice-level kernels touch only nonzero support:
-an RREF pivot updates the other rows on the pivot row's nonzero columns, and
-a slice level scatters, for each variable x_u, only the rows whose parent
-variable's image involves x_u. The slice systems of the family groups are
-well under 1% nonzero; on dense input the support is the whole rest of the
-row, so the work is what a dense update does.
+The numpy elimination touches only nonzero support: an RREF pivot updates
+the other rows on the pivot row's nonzero columns. On dense input the
+support is the whole rest of the row, so the work is what a dense update
+does.
 """
 
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +42,7 @@ _INT64_SAFE = 2**62
 # Largest accepted modulus, the largest prime below 2^20: then a product of
 # residues is below 2^40, so every unreduced int64 sum stays below 2^63 (one
 # product per rref outer-product entry, 2^62 / (p-1)^2 per matmul chunk, and
-# at most n per next_level entry for any n whose n x n matrix fits in memory).
+# at most n per merged next_slice_level entry for any n that fits in memory).
 MAX_PRIME = 1_048_573
 
 
@@ -114,28 +118,6 @@ if _HAVE_NUMBA:
                     out[i, j] %= p
         return out
 
-    @njit(cache=True)
-    def _next_level_nb(prev, parent_rank, parent_var, promote, subst, p):
-        # prev[s] = image coordinates of the s-th monomial one degree down;
-        # out[t] = image of the t-th current-degree monomial, obtained by
-        # multiplying the parent image by one substituted variable.
-        nt = parent_rank.shape[0]
-        ns = prev.shape[1]
-        n = subst.shape[0]
-        out = np.zeros((nt, nt), dtype=np.int64)
-        for t in range(nt):
-            pr = parent_rank[t]
-            j = parent_var[t]
-            for s in range(ns):
-                c = prev[pr, s]
-                if c != 0:
-                    for u in range(n):
-                        w = subst[j, u]
-                        if w != 0:
-                            col = promote[s, u]
-                            out[t, col] = (out[t, col] + c * w) % p
-        return out
-
 
 # ---------------------------------------------------------------------------
 # pure-numpy implementations
@@ -185,25 +167,6 @@ def _matmul_numpy(a, b, p):
     return out
 
 
-def _next_level_numpy(prev, parent_rank, parent_var, promote, subst, p):
-    nt = parent_rank.shape[0]
-    n = subst.shape[0]
-    out = np.zeros((nt, nt), dtype=np.int64)
-    flat = out.reshape(-1)
-    for u in range(n):
-        # only the rows whose parent variable's image involves x_u contribute
-        weights = subst[parent_var, u]
-        rows = np.nonzero(weights)[0]
-        if not rows.size:
-            continue
-        # multiplying by x_u is injective on monomials, so the target columns
-        # promote[:, u] are distinct and fancy-index accumulation is exact
-        terms = prev[parent_rank[rows]]
-        terms *= weights[rows, None]
-        flat[(rows * nt)[:, None] + promote[:, u]] += terms
-    return np.remainder(out, p, out=out)
-
-
 # ---------------------------------------------------------------------------
 # backend selection
 # ---------------------------------------------------------------------------
@@ -212,14 +175,12 @@ IMPLEMENTATIONS: dict[str, dict] = {
     "numpy": {
         "rref": _rref_numpy,
         "matmul": _matmul_numpy,
-        "next_level": _next_level_numpy,
     }
 }
 if _HAVE_NUMBA:
     IMPLEMENTATIONS["numba"] = {
         "rref": _rref_nb,
         "matmul": _matmul_nb,
-        "next_level": _next_level_nb,
     }
 
 
@@ -301,15 +262,69 @@ def matmul_mod(a, b, p: int, impl: dict | None = None) -> np.ndarray:
     return impl["matmul"](am, bm, p)
 
 
-def next_slice_level(prev, parent_rank, parent_var, promote, subst, p: int,
-                     impl: dict | None = None) -> np.ndarray:
-    """Extend monomial images by one degree under a linear substitution."""
-    impl = impl or _ACTIVE
-    return impl["next_level"](
-        np.ascontiguousarray(prev, dtype=np.int64),
-        np.ascontiguousarray(parent_rank, dtype=np.int64),
-        np.ascontiguousarray(parent_var, dtype=np.int64),
-        np.ascontiguousarray(promote, dtype=np.int64),
-        np.ascontiguousarray(subst, dtype=np.int64),
-        p,
-    )
+class CSR(NamedTuple):
+    """A square matrix over GF(p) in compressed sparse rows: row t holds
+    ``vals[indptr[t]:indptr[t + 1]]`` at ``cols[indptr[t]:indptr[t + 1]]``.
+
+    Canonical: columns ascend within each row, with no duplicates and no
+    stored zeros, so equal matrices have equal arrays.
+    """
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def identity(cls, dim: int) -> "CSR":
+        return cls(np.arange(dim + 1), np.arange(dim), np.ones(dim, dtype=np.int64))
+
+    @property
+    def dim(self) -> int:
+        return len(self.indptr) - 1
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.dim), np.diff(self.indptr))
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
+        out[self.row_ids(), self.cols] = self.vals
+        return out
+
+
+def next_slice_level(prev: CSR, parent_rank, parent_var, promote, subst, p: int) -> CSR:
+    """Extend monomial images by one degree under a linear substitution.
+
+    Row t of the result is row ``parent_rank[t]`` of ``prev`` (the image of
+    the parent monomial) times the image of variable ``parent_var[t]``, row
+    ``parent_var[t]`` of ``subst``; ``promote[s, u]`` is the column of
+    monomial s times x_u.
+    """
+    nt = len(parent_rank)
+    keys, prods = [], []
+    for u in range(subst.shape[1]):
+        # only the rows whose parent variable's image involves x_u contribute:
+        # gather their parent rows' entries, scale, and move each column s to
+        # promote[s, u]
+        weights = subst[parent_var, u]
+        rows = np.flatnonzero(weights)
+        starts = prev.indptr[parent_rank[rows]]
+        lens = prev.indptr[parent_rank[rows] + 1] - starts
+        src = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        keys.append(np.repeat(rows * nt, lens) + promote[:, u][prev.cols[src]])
+        prods.append(prev.vals[src] * np.repeat(weights[rows], lens))
+    # multiplying by x_u keeps the monomial order, so each u's keys ascend and
+    # a stable sort merges n runs; for each u the targets promote[:, u] are
+    # distinct, so a merged entry sums at most n products below p^2
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    vals = np.add.reduceat(np.concatenate(prods)[order], first) % p
+    nonzero = vals != 0
+    key, vals = key[first[nonzero]], vals[nonzero]
+    indptr = np.zeros(nt + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // nt, minlength=nt), out=indptr[1:])
+    return CSR(indptr, key % nt, vals)

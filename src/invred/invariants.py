@@ -79,16 +79,17 @@ def slice_limit() -> int:
     return DEFAULT_SLICE_LIMIT
 
 
-def slice_levels(subst: np.ndarray, p: Prime) -> Iterator[np.ndarray]:
-    """Slice images of degree 1, 2, ...: row t of the degree-d item holds the
-    coordinates of the image of the t-th degree-d monomial.
+def slice_levels(subst: np.ndarray, p: Prime) -> Iterator[_kernels.CSR]:
+    """Slice images of degree 1, 2, ..., in compressed sparse rows: row t of
+    the degree-d item holds the coordinates of the image of the t-th degree-d
+    monomial.
 
     ``subst`` is the substitution matrix (row i = image of x_i). A monomial
     is a parent monomial times one variable, so its image is the parent
     image times one substituted variable: each level is built from the last.
     """
     n = subst.shape[0]
-    level = np.ones((1, 1), dtype=np.int64)
+    level = _kernels.CSR.identity(1)
     for k in itertools.count(1):
         parent_rank, parent_var = parent_table(n, k)
         promote = promote_table(n, k - 1)
@@ -96,9 +97,9 @@ def slice_levels(subst: np.ndarray, p: Prime) -> Iterator[np.ndarray]:
         yield level
 
 
-def slice_images(subst: np.ndarray, degree: int, p: Prime) -> np.ndarray:
+def slice_images(subst: np.ndarray, degree: int, p: Prime) -> _kernels.CSR:
     """The degree-th item of ``slice_levels``; degree 0 gives the 1x1 identity."""
-    level = np.ones((1, 1), dtype=np.int64)
+    level = _kernels.CSR.identity(1)
     for level in itertools.islice(slice_levels(subst, p), degree):
         pass
     return level
@@ -113,7 +114,7 @@ def induced_slice_matrix(g: MatrixGFp, degree: int) -> MatrixGFp:
     if degree < 0:
         raise DomainError("degree must be nonnegative")
     images = slice_images(g.inv().entries, degree, g.p)
-    return MatrixGFp(images.T, g.p)
+    return MatrixGFp(images.dense().T, g.p)
 
 
 @dataclass(frozen=True)
@@ -138,19 +139,22 @@ def _check_slice_limit(n: int, degree: int) -> None:
         )
 
 
-def _invariant_rows(images: Sequence[np.ndarray], p: Prime) -> np.ndarray:
+def _invariant_rows(images: Sequence[_kernels.CSR], p: Prime) -> np.ndarray:
     """Basis of the invariants of one degree as coordinate rows.
 
     ``images`` holds each generator's slice images of that degree, the
-    transpose of its action.
+    transpose of its action. The stacked (action - identity) system is
+    allocated once, each table scattered into its block transposed, and
+    eliminated in place.
     """
-    # action - identity, per generator: a fresh C-ordered int64 system of
-    # residues, so the reshape below is a view and it is eliminated in place
-    blocks = np.array([table.T for table in images], order="C")
-    dim = blocks.shape[1]
+    dim = images[0].dim
+    system = np.zeros((len(images) * dim, dim), dtype=np.int64)
     diag = np.arange(dim)
-    blocks[:, diag, diag] = (blocks[:, diag, diag] - 1) % p
-    return _kernels._nullspace_in_place(blocks.reshape(-1, dim), p)
+    for g, table in enumerate(images):
+        block = system[g * dim : (g + 1) * dim]
+        block[table.cols, table.row_ids()] = table.vals
+        block[diag, diag] = (block[diag, diag] - 1) % p
+    return _kernels._nullspace_in_place(system, p)
 
 
 def invariant_basis(spec: GroupSpec, degree: int) -> DegreeSliceBasis:

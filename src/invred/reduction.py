@@ -74,23 +74,16 @@ def extend_to_basis(v: Sequence, p) -> MatrixGFp:
     """Invertible matrix whose first column is v.
 
     Completion rule (fixed for reproducibility): scan the standard unit
-    vectors in index order and keep each one that enlarges the span.
+    vectors in index order and keep each one that enlarges the span. Those
+    are the pivot columns of the RREF of [v | I] after v's own.
     """
     n = len(v)
     vec = as_vector(v, n, p)
     if not vec.any():
         raise DomainError("cannot extend the zero vector to a basis")
-    cols = [vec]
-    for i in range(n):
-        if len(cols) == n:
-            break
-        candidate = np.zeros(n, dtype=np.int64)
-        candidate[i] = 1
-        trial = np.stack(cols + [candidate], axis=1)
-        _, piv = _kernels.rref_mod(trial, p)
-        if len(piv) == len(cols) + 1:
-            cols.append(candidate)
-    return MatrixGFp(np.stack(cols, axis=1), p)
+    full = np.column_stack([vec, np.eye(n, dtype=np.int64)])
+    _, piv = _kernels.rref_mod(full, p)
+    return MatrixGFp(full[:, piv], p)
 
 
 def adapted_decomposition(f: Polynomial, basis_change: MatrixGFp, degree: int) -> list[Polynomial]:

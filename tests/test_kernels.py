@@ -213,21 +213,35 @@ def test_backends_agree():
             assert np.array_equal(mm0, mm)
 
 
-def slice_images_with(impl, subst, degree, p):
+def assert_canonical(level):
+    # columns ascend strictly within each row (sorted, no duplicates) and no
+    # zero is stored
+    assert level.indptr[0] == 0 and np.all(np.diff(level.indptr) >= 0)
+    assert level.indptr[-1] == len(level.cols) == len(level.vals)
+    same_row = np.diff(level.row_ids()) == 0
+    assert np.all(np.diff(level.cols)[same_row] > 0)
+    assert np.all((level.cols >= 0) & (level.cols < level.dim))
+    assert np.all(level.vals != 0)
+
+
+def slice_images_checked(subst, degree, p):
     from invred.poly import parent_table, promote_table
 
     n = subst.shape[0]
-    level = np.ones((1, 1), dtype=np.int64)
+    level = _kernels.CSR.identity(1)
     for k in range(1, degree + 1):
         parent_rank, parent_var = parent_table(n, k)
         level = _kernels.next_slice_level(
-            level, parent_rank, parent_var, promote_table(n, k - 1), subst, p, impl
+            level, parent_rank, parent_var, promote_table(n, k - 1), subst, p
         )
+        assert level.dim == len(parent_rank)
+        assert_canonical(level)
+        assert np.all((level.vals > 0) & (level.vals < p))
     return level
 
 
-def test_next_level_matches_sparse_substitution(impl):
-    # dense recursion vs the independent sparse-polynomial route
+def test_next_level_matches_sparse_substitution():
+    # CSR recursion vs the independent sparse-polynomial route
     rng = random.Random(43)
     cases = []
     for p in (2, 3, 5):
@@ -241,24 +255,16 @@ def test_next_level_matches_sparse_substitution(impl):
         cases.append((p, 4, support.random_unipotent(rng, p, 3).entries))
     cases.append((3, 4, np.eye(4, dtype=np.int64)[[2, 0, 3, 1]]))
     cases.append((5, 4, np.array([[1, 0, 2], [3, 0, 4], [0, 0, 1]], dtype=np.int64)))
+    # the largest accepted prime, every weight p - 1: each merged entry sums
+    # up to n products near p^2, which must not overflow before reduction
+    big = _kernels.MAX_PRIME
+    cases.append((big, 5, np.full((3, 3), big - 1, dtype=np.int64)))
+    cases.append((big, 3, random_array(rng, 4, 4, big)))
     for p, d, subst in cases:
         n = subst.shape[0]
-        images = slice_images_with(impl, subst, d, p)
+        images = slice_images_checked(subst, d, p).dense()
         for t, exps in enumerate(slice_monomials(n, d)):
             mono = Polynomial.monomial(p, n, exps)
             expected = mono.substitute(subst)
             got = Polynomial.from_coordinates(p, n, d, images[t])
             assert got == expected
-
-
-@needs_numba
-def test_next_level_backends_agree():
-    rng = random.Random(47)
-    p, n, d = 3, 3, 5
-    subst = random_array(rng, n, n, p)
-    outs = [
-        slice_images_with(_kernels.IMPLEMENTATIONS[name], subst, d, p)
-        for name in ("numpy", "numba")
-    ]
-    for other in outs[1:]:
-        assert np.array_equal(outs[0], other)

@@ -1,0 +1,125 @@
+"""act, substitute and invariant bases checked by sympy, not by invred itself.
+
+Composition is done by sympy: x_i is replaced by sum_j M[i][j] x_j in an
+expression and the result read back as ``Poly(..., modulus=p)``; inverses
+come from sympy's ``Matrix.inv_mod``.
+"""
+
+import random
+
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import support
+from invred import (
+    GroupSpec,
+    MatrixGFp,
+    Polynomial,
+    act,
+    example_action,
+    invariant_basis,
+)
+
+
+def sympy_compose(f: Polynomial, m) -> dict:
+    """Terms of f(M x), with every coefficient a residue in 0..p-1."""
+    p, n = int(f.p), f.nvars
+    xs = sympy.symbols(f"x0:{n}")
+    expr = sum(
+        (int(c) * sympy.prod([x**e for x, e in zip(xs, exps)]) for exps, c in f.terms.items()),
+        sympy.Integer(0),
+    )
+    images = {xs[i]: sum(int(m[i][j]) * xs[j] for j in range(n)) for i in range(n)}
+    composed = sympy.Poly(expr.xreplace(images), *xs, modulus=p)
+    return {exps: int(c) % p for exps, c in composed.terms() if int(c) % p}
+
+
+def sympy_inverse(g: MatrixGFp) -> list:
+    return sympy.Matrix(g.entries.tolist()).inv_mod(int(g.p)).tolist()
+
+
+def terms_of(f: Polynomial) -> dict:
+    return {exps: int(c) for exps, c in f.terms.items() if int(c)}
+
+
+def test_substitute_matches_sympy_composition():
+    rng = random.Random(71)
+    for _ in range(40):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randrange(1, 4)
+        f = support.random_polynomial(rng, p, n, 5)
+        m = support.random_matrix(rng, p, n)  # singular ones included
+        assert terms_of(f.substitute(m.entries)) == sympy_compose(f, m.entries.tolist())
+
+
+def test_act_matches_sympy_composition():
+    rng = random.Random(73)
+    for _ in range(30):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randrange(1, 4)
+        f = support.random_polynomial(rng, p, n, 5)
+        g = support.random_invertible(rng, p, n)
+        assert terms_of(act(g, f)) == sympy_compose(f, sympy_inverse(g))
+
+
+def assert_basis_invariant(spec: GroupSpec, degree: int) -> int:
+    inverses = [sympy_inverse(g) for g in spec.generators]
+    basis = invariant_basis(spec, degree).basis
+    for f in basis:
+        assert f.is_homogeneous() and f.degree() == degree
+        for ginv in inverses:
+            assert sympy_compose(f, ginv) == terms_of(f)
+    return len(basis)
+
+
+def test_invariant_basis_is_invariant_on_family_specs():
+    # the fixed_point_sweep groups, at their p-power degrees and one between
+    for (p, m, lam), degrees in [
+        ((2, 6, 0), (1, 2, 3)),
+        ((3, 2, 0), (1, 2, 3, 9)),
+        ((3, 2, 1), (1, 2, 3, 9)),
+        ((3, 2, 2), (1, 2, 3, 9)),
+    ]:
+        spec = example_action(p, m, lam)
+        found = [assert_basis_invariant(spec, d) for d in degrees]
+        assert all(found)  # the coordinate functionals of the fixed space at least
+
+
+def test_invariant_basis_is_invariant_on_random_groups():
+    rng = random.Random(79)
+    total = 0
+    for _ in range(12):
+        p = rng.choice((2, 3))
+        n = rng.randrange(2, 4)
+        spec, _ = support.random_small_group(rng, p, n, max_order=27)
+        for degree in range(1, 5):
+            total += assert_basis_invariant(spec, degree)
+    assert total > 0
+
+
+def matrices(p, n):
+    return st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+
+
+@st.composite
+def action_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 3))
+    g = MatrixGFp(draw(matrices(p, n)), p)
+    h = MatrixGFp(draw(matrices(p, n)), p)
+    assume(g.is_invertible() and h.is_invertible())
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * n), st.integers(0, p - 1), max_size=6
+    ))
+    return g, h, Polynomial(p, n, terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(action_cases())
+def test_action_law(case):
+    g, h, f = case
+    assert act(g, act(h, f)) == act(g @ h, f)

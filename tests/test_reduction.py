@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
 import support
 from invred import (
+    _kernels,
     DegreeFactorization,
     DomainError,
     GroupSpec,
@@ -82,6 +84,27 @@ def test_extend_first_column_is_v():
         b = extend_to_basis(v, p)
         assert b.is_invertible()
         assert np.array_equal(b.apply([1] + [0] * (n - 1)), np.asarray(v) % p)
+
+
+def extend_by_scanning(v, p):
+    """The completion rule as stated: keep each unit vector, in index order,
+    that raises the rank of the columns kept so far."""
+    n = len(v)
+    cols = [np.asarray(v, dtype=np.int64) % p]
+    for i in range(n):
+        candidate = np.zeros(n, dtype=np.int64)
+        candidate[i] = 1
+        _, piv = _kernels.rref_mod(np.stack(cols + [candidate], axis=1), p)
+        if len(piv) == len(cols) + 1:
+            cols.append(candidate)
+    return np.stack(cols, axis=1)
+
+
+def test_extend_matches_the_scanning_rule_on_every_vector():
+    for p, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2)]:
+        for v in product(range(p), repeat=n):
+            if any(v):
+                assert np.array_equal(extend_to_basis(v, p).entries, extend_by_scanning(v, p))
 
 
 def test_extend_rejects_zero():
