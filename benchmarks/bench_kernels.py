@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the exact kernels, numba against pure numpy where both exist.
+"""Benchmark the exact kernels on inputs no perfbench workload covers.
 
-Times the three hot loops on random dense inputs, and the elimination on one
-fixed sparse system:
+Times the elimination and the matrix product on random dense inputs, the
+elimination on one fixed sparse system, and slice-level builds from a dense
+generator:
 
     rref        reduced row echelon form mod p (drives nullspaces and inverses)
     rref family the stacked (action - identity) system of example_action(3, 3, 0)
@@ -10,7 +11,7 @@ fixed sparse system:
     matmul      matrix product mod p
     slice       monomial-image tables of degree 1..--degree, in compressed
                 sparse rows, for a random n-variable substitution (n from
-                --nvars); one implementation, so one column
+                --nvars)
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -51,7 +52,7 @@ def family_system():
     return np.vstack([(mat - eye) % 3 for mat in mats])
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="200,400,800",
                         help="comma-separated matrix sizes for rref and matmul")
@@ -60,65 +61,35 @@ def main():
     parser.add_argument("--degree", type=int, default=12, help="degree for the slice build")
     parser.add_argument("--repeats", type=int, default=3, help="repeats per timing (best kept)")
     parser.add_argument("--seed", type=int, default=12345)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",")]
     p = args.p
     rng = random.Random(args.seed)
-    impls = {name: _kernels.IMPLEMENTATIONS[name] for name in sorted(_kernels.IMPLEMENTATIONS)}
-    if "numba" not in impls:
-        print("note: numba not importable, benchmarking numpy only")
 
-    # warm up JIT outside the timings
-    for impl in impls.values():
-        warm = random_array(rng, 8, 8, p)
-        _kernels.rref_mod(warm, p, impl)
-        _kernels.matmul_mod(warm, warm, p, impl)
+    def report(label, seconds, note=""):
+        print(f"{label:<28}{seconds * 1000:>10.2f}ms{note}")
 
-    header = f"{'kernel':<28}" + "".join(f"{name:>12}" for name in impls)
-    if len(impls) == 2:
-        header += f"{'speedup':>10}"
-    print(header)
-    print("-" * len(header))
-
-    def report(label, times):
-        row = f"{label:<28}" + "".join(f"{times[name] * 1000:>10.2f}ms" for name in impls)
-        if len(times) == 2:
-            a, b = (times[n] for n in impls)  # sorted: numba, numpy
-            row += f"{b / a:>9.1f}x"
-        print(row)
-
+    print(f"{'kernel':<28}{'best':>12}")
+    print("-" * 40)
     for size in sizes:
         a = random_array(rng, size, size, p)
-        times = {
-            name: time_call(lambda im=impl: _kernels.rref_mod(a, p, im), args.repeats)
-            for name, impl in impls.items()
-        }
-        report(f"rref {size}x{size}", times)
+        report(f"rref {size}x{size}", time_call(lambda: _kernels.rref_mod(a, p), args.repeats))
 
     system = family_system()
-    times = {
-        name: time_call(lambda im=impl: _kernels.rref_mod(system, 3, im), args.repeats)
-        for name, impl in impls.items()
-    }
-    report(f"rref family d=8 {system.shape[0]}x{system.shape[1]}", times)
+    report(f"rref family d=8 {system.shape[0]}x{system.shape[1]}",
+           time_call(lambda: _kernels.rref_mod(system, 3), args.repeats))
 
     for size in sizes:
         a = random_array(rng, size, size, p)
         b = random_array(rng, size, size, p)
-        times = {
-            name: time_call(lambda im=impl: _kernels.matmul_mod(a, b, p, im), args.repeats)
-            for name, impl in impls.items()
-        }
-        report(f"matmul {size}x{size}", times)
+        report(f"matmul {size}x{size}", time_call(lambda: _kernels.matmul_mod(a, b, p), args.repeats))
 
     subst = random_array(rng, args.nvars, args.nvars, p)
     level = slice_images(subst, args.degree, p)
-    best = time_call(lambda: slice_images(subst, args.degree, p), args.repeats)
-    print(f"{f'slice n={args.nvars} d={args.degree} ({level.dim})':<28}{best * 1000:>10.2f}ms"
-          f"  ({len(level.vals)} nonzeros)")
-
-    print(f"\nactive backend for the package: {_kernels.backend()}")
+    report(f"slice n={args.nvars} d={args.degree} ({level.dim})",
+           time_call(lambda: slice_images(subst, args.degree, p), args.repeats),
+           f"  ({len(level.vals)} nonzeros)")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ Core capabilities:
 
 __version__ = "0.1.0"
 
-from ._kernels import backend
 from .errors import (
     DomainError,
     FixedSpaceLimitError,
@@ -64,7 +63,6 @@ from .reduction import (
 
 __all__ = [
     "__version__",
-    "backend",
     "DomainError",
     "FixedSpaceLimitError",
     "FormatError",

@@ -1,41 +1,33 @@
 """Exact linear algebra over GF(p): the package's hot loops.
 
-The elimination and matrix-product kernels exist twice: as plain loops
-compiled with numba's @njit, and as a vectorized pure-numpy fallback. The
-INVRED_BACKEND environment variable picks the implementation at import time:
+One implementation of each kernel, in numpy on int64 arrays whose entries
+are residues mod p:
 
-    auto   (default) use numba when importable, else numpy
-    numba  require numba, fail loudly if missing
-    numpy  force the pure-numpy path
+    rref_mod, nullspace_mod  Gauss-Jordan elimination; a pivot updates the
+                             other rows only on the pivot row's nonzero
+                             columns, so sparse systems cost what their
+                             support costs, and on dense input the work is
+                             what a dense update does
+    matmul_mod               matrix product, accumulated in chunks
+    next_slice_level         monomial-image tables of graded slices (slice
+                             levels) in compressed sparse rows (``CSR``):
+                             each level is built by gathering the parent
+                             rows' entries, scaling and scattering them, and
+                             merging duplicate entries with one sort; the
+                             family groups' levels are under 1% nonzero
 
-The slice-level kernel, ``next_slice_level``, exists once, in numpy, and
-works on compressed sparse rows (``CSR``): each level is built by gathering
-the parent rows' entries, scaling and scattering them, and merging duplicate
-entries with one sort. The family groups' levels are under 1% nonzero.
-
-All arrays are int64 with entries reduced mod p. The numpy paths chunk or
-bound intermediate products so nothing overflows int64; the numba paths
-reduce as they go. ``benchmarks/bench_kernels.py`` compares the two.
-
-The numpy elimination touches only nonzero support: an RREF pivot updates
-the other rows on the pivot row's nonzero columns. On dense input the
-support is the whole rest of the row, so the work is what a dense update
-does.
+Exactness rests on ``MAX_PRIME``, the largest accepted modulus: for
+p <= MAX_PRIME a product of two residues is below 2^40, and every unreduced
+int64 sum the kernels form stays below 2^63 (see the comment at MAX_PRIME).
+``MatrixGFp`` rejects larger primes, so the package never hands a kernel a
+modulus at which a sum could wrap.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
 
 _INT64_SAFE = 2**62
 
@@ -46,85 +38,9 @@ _INT64_SAFE = 2**62
 MAX_PRIME = 1_048_573
 
 
-# ---------------------------------------------------------------------------
-# numba loop kernels
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _inv_mod_nb(a, p):
-        # Fermat inverse, a nonzero mod p prime
-        result = 1
-        base = a % p
-        e = p - 2
-        while e > 0:
-            if e & 1:
-                result = result * base % p
-            base = base * base % p
-            e >>= 1
-        return result
-
-    @njit(cache=True)
-    def _rref_nb(a, p):
-        # in-place reduced row echelon form; returns (rank, pivot columns)
-        rows, cols = a.shape
-        piv = np.empty(min(rows, cols), dtype=np.int64)
-        r = 0
-        for c in range(cols):
-            pr = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    pr = i
-                    break
-            if pr == -1:
-                continue
-            if pr != r:
-                for j in range(cols):
-                    tmp = a[r, j]
-                    a[r, j] = a[pr, j]
-                    a[pr, j] = tmp
-            inv = _inv_mod_nb(a[r, c], p)
-            for j in range(c, cols):
-                a[r, j] = a[r, j] * inv % p
-            for i in range(rows):
-                if i != r and a[i, c] != 0:
-                    f = a[i, c]
-                    for j in range(c, cols):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            piv[r] = c
-            r += 1
-            if r == rows:
-                break
-        return r, piv[:r]
-
-    @njit(cache=True)
-    def _matmul_nb(a, b, p):
-        n, k = a.shape
-        m = b.shape[1]
-        out = np.zeros((n, m), dtype=np.int64)
-        # delay reduction: entries stay below p^2 per addend, so a block of
-        # `step` addends cannot overflow int64
-        step = max(1, _INT64_SAFE // ((p - 1) * (p - 1) + 1))
-        for i in range(n):
-            for t0 in range(0, k, step):
-                t1 = min(k, t0 + step)
-                for t in range(t0, t1):
-                    v = a[i, t]
-                    if v != 0:
-                        for j in range(m):
-                            out[i, j] += v * b[t, j]
-                for j in range(m):
-                    out[i, j] %= p
-        return out
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _rref_numpy(a, p):
+def _rref_in_place(a, p) -> np.ndarray:
+    """Reduce a C-ordered int64 matrix of residues to its RREF in place;
+    returns the pivot columns."""
     rows, cols = a.shape
     flat = a.reshape(-1)  # a view: every caller hands over a C-ordered int64 array
     piv = []
@@ -153,62 +69,7 @@ def _rref_numpy(a, p):
         r += 1
         if r == rows:
             break
-    return r, np.asarray(piv, dtype=np.int64)
-
-
-def _matmul_numpy(a, b, p):
-    k = a.shape[1]
-    step = max(1, _INT64_SAFE // max(1, (p - 1) ** 2))
-    if k <= step:
-        return (a @ b) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, k, step):
-        out = (out + a[:, s : s + step] @ b[s : s + step]) % p
-    return out
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-IMPLEMENTATIONS: dict[str, dict] = {
-    "numpy": {
-        "rref": _rref_numpy,
-        "matmul": _matmul_numpy,
-    }
-}
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "rref": _rref_nb,
-        "matmul": _matmul_nb,
-    }
-
-
-def _select_backend() -> str:
-    choice = os.environ.get("INVRED_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if "numba" in IMPLEMENTATIONS else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise RuntimeError(
-            f"INVRED_BACKEND={choice!r} not understood (use auto, numba or numpy)"
-        )
-    if choice not in IMPLEMENTATIONS:
-        raise RuntimeError("INVRED_BACKEND=numba but numba is not importable")
-    return choice
-
-
-BACKEND = _select_backend()
-_ACTIVE = IMPLEMENTATIONS[BACKEND]
-
-
-def backend() -> str:
-    """Name of the active kernel implementation ('numba' or 'numpy')."""
-    return BACKEND
-
-
-# ---------------------------------------------------------------------------
-# public entry points
-# ---------------------------------------------------------------------------
+    return np.asarray(piv, dtype=np.int64)
 
 
 def _prep(a, p: int) -> np.ndarray:
@@ -219,33 +80,29 @@ def _prep(a, p: int) -> np.ndarray:
     return np.remainder(arr, p, out=arr)
 
 
-def rref_mod(a, p: int, impl: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def rref_mod(a, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of a copy of ``a`` over GF(p).
 
     Returns (rref matrix, pivot column indices).
     """
-    impl = impl or _ACTIVE
     m = _prep(a, p)
-    rank, piv = impl["rref"](m, p)
-    return m, np.asarray(piv[:rank])
+    return m, _rref_in_place(m, p)
 
 
-def nullspace_mod(a, p: int, impl: dict | None = None) -> np.ndarray:
+def nullspace_mod(a, p: int) -> np.ndarray:
     """Basis of the right nullspace of ``a`` over GF(p), one vector per row.
 
     Deterministic: the standard free-column construction on the RREF, free
     columns in increasing order. Returns a (k, ncols) array, possibly k = 0.
     ``a`` itself is left unchanged.
     """
-    return _nullspace_in_place(_prep(a, p), p, impl)
+    return _nullspace_in_place(_prep(a, p), p)
 
 
-def _nullspace_in_place(m: np.ndarray, p: int, impl: dict | None = None) -> np.ndarray:
+def _nullspace_in_place(m: np.ndarray, p: int) -> np.ndarray:
     """``nullspace_mod`` of a C-ordered int64 matrix of residues that the
     caller gives up: ``m`` is overwritten by its RREF instead of copied."""
-    impl = impl or _ACTIVE
-    rank, piv = impl["rref"](m, p)
-    piv = np.asarray(piv[:rank])
+    piv = _rref_in_place(m, p)
     free = np.setdiff1d(np.arange(m.shape[1]), piv)
     basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
@@ -253,13 +110,19 @@ def _nullspace_in_place(m: np.ndarray, p: int, impl: dict | None = None) -> np.n
     return basis
 
 
-def matmul_mod(a, b, p: int, impl: dict | None = None) -> np.ndarray:
+def matmul_mod(a, b, p: int) -> np.ndarray:
     """Exact matrix product mod p."""
-    impl = impl or _ACTIVE
     am, bm = _prep(a, p), _prep(b, p)
     if am.shape[1] != bm.shape[0]:
         raise ValueError(f"shape mismatch {am.shape} @ {bm.shape}")
-    return impl["matmul"](am, bm, p)
+    k = am.shape[1]
+    step = max(1, _INT64_SAFE // max(1, (p - 1) ** 2))
+    if k <= step:
+        return (am @ bm) % p
+    out = np.zeros((am.shape[0], bm.shape[1]), dtype=np.int64)
+    for s in range(0, k, step):
+        out = (out + am[:, s : s + step] @ bm[s : s + step]) % p
+    return out
 
 
 class CSR(NamedTuple):

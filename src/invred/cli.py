@@ -24,7 +24,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from ._kernels import backend
 from .errors import (
     InternalConsistencyError,
     InvredError,
@@ -272,7 +271,6 @@ def main(argv=None) -> int:
 
     report = {
         "command": args.command,
-        "backend": backend(),
         **report,
         "timing_seconds": round(elapsed, 6),
     }

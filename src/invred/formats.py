@@ -67,7 +67,10 @@ def parse_group_spec(data: Any, origin: str = "spec") -> GroupSpec:
         for ri, row in enumerate(mat):
             if not isinstance(row, list) or len(row) != n:
                 _fail(f"generators[{gi}][{ri}]", f"expected a list of {n} integers")
-            rows.append([_require_int(x, f"generators[{gi}][{ri}][{ci}]") for ci, x in enumerate(row)])
+            # reduce as Python ints: an entry beyond int64 would overflow the array
+            rows.append([
+                _require_int(x, f"generators[{gi}][{ri}][{ci}]") % p for ci, x in enumerate(row)
+            ])
         matrices.append(MatrixGFp(rows, p))
     return GroupSpec(p, n, tuple(matrices))
 

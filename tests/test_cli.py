@@ -86,6 +86,16 @@ def test_basis_prime_above_kernel_range_exits_2(tmp_path, capsys):
     assert "1048573" in err
 
 
+def test_basis_reduces_oversized_entries_on_load(tmp_path, capsys):
+    # entries beyond int64 are residues like any other: 3^40 + 1 = 1 and
+    # -2^70 = 2 mod 3
+    big = write_json(tmp_path, "big.json", {"p": 3, "n": 2, "generators": [[[1, 3**40 + 1], [0, -(2**70)]]]})
+    small = write_json(tmp_path, "small.json", {"p": 3, "n": 2, "generators": [[[1, 1], [0, 2]]]})
+    reports = [run_report(capsys, "basis", "--spec", str(spec), "--degree", "2") for spec in (big, small)]
+    assert reports[0]["result"] == reports[1]["result"]
+    assert reports[0]["result"]["dimension"] > 0
+
+
 def test_basis_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "basis", "--spec", str(tmp_path / "nope.json"), "--degree", "1")
     assert code == 2

@@ -1,6 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import nextprime
 
 from invred import (
     DomainError,
@@ -98,6 +101,19 @@ def test_lucas_matches_factorial_oracle():
         for a in range(61):
             for b in range(61):
                 assert lucas_binomial(a, b, p).residue == math.comb(a, b) % p
+
+
+# p from primes up to the largest accepted modulus, biased toward small ones
+# so that a and b up to 5000 have several base-p digits
+primes = st.one_of(st.integers(2, 100), st.integers(2, 5000), st.integers(2, 1048573)).map(
+    lambda n: int(nextprime(n - 1))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(primes, st.integers(0, 5000), st.integers(0, 5000))
+def test_lucas_matches_factorials_property(p, a, b):
+    assert lucas_binomial(a, b, p).residue == math.comb(a, b) % p
 
 
 def test_lucas_huge_arguments():

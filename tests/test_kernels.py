@@ -1,10 +1,12 @@
-import importlib.util
-import os
 import random
+import runpy
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from invred import (
@@ -20,62 +22,41 @@ from invred import (
 from invred.invariants import _invariant_rows, slice_images
 from invred.poly import slice_monomials
 
-IMPLS = sorted(_kernels.IMPLEMENTATIONS)
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-
 def random_array(rng, rows, cols, p):
     return np.array(
         [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
     )
 
 
-@pytest.fixture(params=IMPLS)
-def impl(request):
-    return _kernels.IMPLEMENTATIONS[request.param]
-
-
-def test_both_backends_present():
-    # numpy kernels always exist; numba kernels exactly when numba is installed
-    assert "numpy" in _kernels.IMPLEMENTATIONS
-    assert ("numba" in _kernels.IMPLEMENTATIONS) == HAVE_NUMBA
-    # the active backend is the one the INVRED_BACKEND rule picks
-    choice = os.environ.get("INVRED_BACKEND", "auto").strip().lower()
-    auto = "numba" if HAVE_NUMBA else "numpy"
-    expected = {"": auto, "auto": auto, "numba": "numba", "numpy": "numpy"}[choice]
-    assert _kernels.backend() == expected
-
-
-def test_rref_structure(impl):
+def test_rref_structure():
     rng = random.Random(23)
     for p in (2, 3, 5, 31):
         for _ in range(8):
             a = random_array(rng, rng.randrange(1, 7), rng.randrange(1, 7), p)
-            r, piv = _kernels.rref_mod(a, p, impl)
+            r, piv = _kernels.rref_mod(a, p)
             rank = len(piv)
             assert sorted(piv.tolist()) == piv.tolist()
             for row, col in enumerate(piv):
                 column = r[:, col]
                 assert column[row] == 1 and np.count_nonzero(column) == 1
             # idempotent
-            r2, piv2 = _kernels.rref_mod(r, p, impl)
+            r2, piv2 = _kernels.rref_mod(r, p)
             assert np.array_equal(r, r2) and np.array_equal(piv, piv2)
             assert np.all(r[rank:] == 0)
 
 
-def test_nullspace_bruteforce_oracle(impl):
+def test_nullspace_bruteforce_oracle():
     rng = random.Random(29)
     for p in (2, 3):
         for _ in range(6):
             rows, cols = rng.randrange(1, 4), rng.randrange(1, 5)
             a = random_array(rng, rows, cols, p)
-            basis = _kernels.nullspace_mod(a, p, impl)
+            basis = _kernels.nullspace_mod(a, p)
             # every basis vector solves the system
             for b in basis:
                 assert not ((a @ b) % p).any()
             # basis is independent
-            _, piv = _kernels.rref_mod(basis, p, impl) if len(basis) else (None, [])
+            _, piv = _kernels.rref_mod(basis, p) if len(basis) else (None, [])
             assert len(piv) == len(basis)
             # solution count matches p^k by brute enumeration
             count = sum(
@@ -86,17 +67,17 @@ def test_nullspace_bruteforce_oracle(impl):
             assert count == p ** len(basis)
 
 
-def test_public_kernels_leave_their_input_unchanged(impl):
+def test_public_kernels_leave_their_input_unchanged():
     # already int64, C-ordered and reduced, which a shortcut that skipped the
     # copy would accept as is; and far from its own RREF
     p = 3
     a = np.array([[0, 2, 1, 1], [2, 1, 0, 2], [1, 0, 2, 0], [2, 2, 2, 1]], dtype=np.int64)
     assert a.flags.c_contiguous and a.dtype == np.int64 and (a < p).all()
     before = a.copy()
-    rref, piv = _kernels.rref_mod(a, p, impl)
+    rref, piv = _kernels.rref_mod(a, p)
     assert not np.array_equal(rref, a)
     assert np.array_equal(a, before)
-    assert len(_kernels.nullspace_mod(a, p, impl)) == 4 - len(piv) == 2
+    assert len(_kernels.nullspace_mod(a, p)) == 4 - len(piv) == 2
     assert np.array_equal(a, before)
     # fixed_space eliminates the stacked (g - I) blocks of this unipotent
     # generator, whose fixed space is spanned by the last basis vector
@@ -108,20 +89,20 @@ def test_public_kernels_leave_their_input_unchanged(impl):
     assert np.array_equal(g, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
 
 
-def test_matmul_oracle(impl):
+def test_matmul_oracle():
     rng = random.Random(31)
     for p in (2, 3, 5, 31):
         a = random_array(rng, 4, 6, p)
         b = random_array(rng, 6, 3, p)
-        assert np.array_equal(_kernels.matmul_mod(a, b, p, impl), (a @ b) % p)
+        assert np.array_equal(_kernels.matmul_mod(a, b, p), (a @ b) % p)
 
 
-def test_matmul_shape_error(impl):
+def test_matmul_shape_error():
     with pytest.raises(ValueError):
-        _kernels.matmul_mod(np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64), 5, impl)
+        _kernels.matmul_mod(np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64), 5)
 
 
-def test_numpy_matmul_chunking_path():
+def test_matmul_chunking_path():
     # force the chunked accumulation branch with an artificially tight budget
     rng = random.Random(37)
     p = 31
@@ -130,7 +111,7 @@ def test_numpy_matmul_chunking_path():
     saved = _kernels._INT64_SAFE
     try:
         _kernels._INT64_SAFE = (p - 1) ** 2 * 7  # 7 columns per chunk
-        out = _kernels._matmul_numpy(a, b, p)
+        out = _kernels.matmul_mod(a, b, p)
     finally:
         _kernels._INT64_SAFE = saved
     assert np.array_equal(out, (a @ b) % p)
@@ -152,17 +133,17 @@ def sympy_rref(a, p):
     return ints(r).reshape(a.shape), list(piv), null
 
 
-def assert_matches_sympy(a, p, impl):
+def assert_matches_sympy(a, p):
     """Check rref_mod and nullspace_mod against sympy; return the nullspace."""
     r, piv, null = sympy_rref(a, p)
-    got, got_piv = _kernels.rref_mod(a, p, impl)
+    got, got_piv = _kernels.rref_mod(a, p)
     assert np.array_equal(got, r)
     assert got_piv.tolist() == piv
-    assert np.array_equal(_kernels.nullspace_mod(a, p, impl), null)
+    assert np.array_equal(_kernels.nullspace_mod(a, p), null)
     return null
 
 
-def test_rref_matches_sympy_on_sparse_systems(impl):
+def test_rref_matches_sympy_on_sparse_systems():
     # sparse rows: a pivot row's support is mostly far smaller than the row
     rng = random.Random(53)
     for p in (2, 3, 5):
@@ -175,7 +156,7 @@ def test_rref_matches_sympy_on_sparse_systems(impl):
             )
             a[rng.randrange(rows)] = 0
             a[:, rng.randrange(cols)] = 0
-            assert_matches_sympy(a, p, impl)
+            assert_matches_sympy(a, p)
     # the stacked (action - identity) system of a family group at a degree
     # with invariants, so it is rank deficient
     spec, degree = example_action(3, 2, 1), 4
@@ -187,30 +168,34 @@ def test_rref_matches_sympy_on_sparse_systems(impl):
     rows = _invariant_rows([slice_images(g.inv().entries, degree, p) for g in spec.generators], p)
     assert system.shape == (70, 35) and 0 < len(rows) < 35
     assert np.count_nonzero(system) < system.size // 4
-    assert np.array_equal(rows, assert_matches_sympy(system, p, impl))
+    assert np.array_equal(rows, assert_matches_sympy(system, p))
 
 
-@needs_numba
-def test_backends_agree():
-    rng = random.Random(41)
-    impls = [_kernels.IMPLEMENTATIONS[name] for name in ("numpy", "numba")]
-    for p in (2, 3, 5):
-        a = random_array(rng, 7, 5, p)
-        b = random_array(rng, 5, 6, p)
-        results = [
-            (
-                _kernels.rref_mod(a, p, im),
-                _kernels.nullspace_mod(a, p, im),
-                _kernels.matmul_mod(a, b, p, im),
-            )
-            for im in impls
-        ]
-        (r0, piv0), ns0, mm0 = results[0]
-        for (r, piv), ns, mm in results[1:]:
-            assert np.array_equal(r0, r)
-            assert np.array_equal(piv0, piv)
-            assert np.array_equal(ns0, ns)
-            assert np.array_equal(mm0, mm)
+# entries weighted toward p - 1, whose products are the largest an unreduced
+# sum can hold, and toward 0, so that some systems are rank deficient
+BIG = _kernels.MAX_PRIME
+big_entries = st.one_of(st.just(BIG - 1), st.just(BIG - 2), st.just(0), st.integers(0, BIG - 1))
+
+
+def big_matrices(rows, cols):
+    return st.lists(
+        st.lists(big_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda a: np.array(a, dtype=np.int64))
+
+
+@st.composite
+def big_cases(draw):
+    rows, inner, cols = (draw(st.integers(1, 8)) for _ in range(3))
+    return draw(big_matrices(rows, inner)), draw(big_matrices(inner, cols))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(big_cases())
+def test_kernels_exact_at_max_prime(case):
+    a, b = case
+    assert_matches_sympy(a, BIG)
+    expected = (a.astype(object) @ b) % BIG
+    assert np.array_equal(_kernels.matmul_mod(a, b, BIG), expected.astype(np.int64))
 
 
 def assert_canonical(level):
@@ -268,3 +253,12 @@ def test_next_level_matches_sparse_substitution():
             expected = mono.substitute(subst)
             got = Polynomial.from_coordinates(p, n, d, images[t])
             assert got == expected
+
+
+def test_bench_kernels_script_runs(capsys):
+    # the script is not imported by the package, so only this keeps it working
+    script = Path(__file__).parents[1] / "benchmarks" / "bench_kernels.py"
+    runpy.run_path(str(script))["main"](["--sizes", "8", "--repeats", "1", "--degree", "3"])
+    out = capsys.readouterr().out
+    for label in ("rref 8x8", "rref family d=8 2574x1287", "matmul 8x8", "slice n=4 d=3"):
+        assert label in out
