@@ -43,6 +43,7 @@ from .group import (
 )
 from .invariants import (
     DegreeSliceBasis,
+    DeltaResult,
     EpsilonResult,
     delta_over_fixed_points,
     enumerate_fixed_points,
@@ -92,6 +93,7 @@ __all__ = [
     "fixed_space",
     "is_invariant",
     "DegreeSliceBasis",
+    "DeltaResult",
     "EpsilonResult",
     "delta_over_fixed_points",
     "enumerate_fixed_points",

@@ -40,15 +40,9 @@ from .formats import (
     render_report,
 )
 from .gfp import Prime, lucas_binomial, lucas_factors
-from .group import enumerate_group, example_action, fixed_space
-from .invariants import (
-    _epsilon_search,
-    enumerate_fixed_points,
-    epsilon,
-    invariant_basis,
-    slice_dimension,
-)
-from .reduction import factor_p_power, reduce_degree
+from .group import enumerate_group, example_action
+from .invariants import delta_over_fixed_points, epsilon, invariant_basis, slice_dimension
+from .reduction import reduce_degree
 
 
 def _epsilon_payload(result) -> dict:
@@ -98,8 +92,6 @@ def _cmd_reduce(args) -> dict:
     f = load_polynomial(args.poly, spec)
     vec = parse_vector(args.vector, spec)
     result = reduce_degree(spec, f, vec)
-    degree = f.degree()
-    fact = factor_p_power(degree, spec.p)
     f_tilde = result.f_tilde
     return {
         "inputs": {
@@ -112,10 +104,10 @@ def _cmd_reduce(args) -> dict:
         },
         "result": {
             "p": int(spec.p),
-            "input_degree": degree,
-            "r": fact.r,
-            "d": fact.d,
-            "reduced_degree": int(spec.p) ** fact.r,
+            "input_degree": f.degree(),
+            "r": result.factorization.r,
+            "d": result.factorization.d,
+            "reduced_degree": f_tilde.degree(),
             "normalization": result.normalization.residue,
             "f_tilde": str(f_tilde),
             "f_tilde_terms": polynomial_terms_json(f_tilde),
@@ -140,7 +132,6 @@ def _cmd_example(args) -> dict:
             f"epsilon at the fixed basis point is {result.value}, expected {expected}"
         )
     reduction = reduce_degree(spec, result.witness, e_m)
-    fact = factor_p_power(result.value, p)
     return {
         "inputs": {"p": int(p), "m": args.m, "lambda": args.lam % int(p)},
         "result": {
@@ -153,8 +144,8 @@ def _cmd_example(args) -> dict:
             "epsilon": _epsilon_payload(result),
             "epsilon_equals_p_squared": True,
             "reduction": {
-                "r": fact.r,
-                "d": fact.d,
+                "r": reduction.factorization.r,
+                "d": reduction.factorization.d,
                 "f_tilde": str(reduction.f_tilde),
                 "normalization": reduction.normalization.residue,
                 "value_at_point": 1,
@@ -181,21 +172,18 @@ def _cmd_lucas(args) -> dict:
 
 def _cmd_delta(args) -> dict:
     spec = load_group_spec(args.spec)
-    elements = enumerate_group(spec)
-    basis = fixed_space(spec)
-    points = list(enumerate_fixed_points(spec))
-    results = _epsilon_search(spec, points, elements.order)
+    delta = delta_over_fixed_points(spec)
     return {
         "inputs": _spec_inputs(args),
         "result": {
             "p": int(spec.p),
             "n": spec.n,
-            "group_order": elements.order,
-            "fixed_space_dimension": len(basis),
-            "value": max((res.value for res in results), default=0),
+            "group_order": delta.group_order,
+            "fixed_space_dimension": delta.fixed_space_dimension,
+            "value": delta.value,
             "per_point": [
                 {"vector": [int(x) for x in vec], "epsilon": res.value}
-                for vec, res in zip(points, results)
+                for vec, res in zip(delta.points, delta.epsilons)
             ],
         },
     }

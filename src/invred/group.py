@@ -32,6 +32,7 @@ __all__ = [
     "act",
     "enumerate_group",
     "fixed_space",
+    "fixes",
     "is_invariant",
     "example_action",
     "DEFAULT_GROUP_CAP",
@@ -240,12 +241,17 @@ def fixed_space(spec: GroupSpec) -> list[np.ndarray]:
     eye = np.eye(n, dtype=np.int64)
     stacked = np.vstack([(g.entries - eye) % p for g in spec.generators])
     rows = _kernels.nullspace_mod(stacked, p)
-    out = []
-    for row in rows:
-        vec = row.copy()
-        vec.setflags(write=False)
-        out.append(vec)
-    return out
+    rows.setflags(write=False)
+    return list(rows)
+
+
+def fixes(spec: GroupSpec, points) -> bool:
+    """Whether every generator, hence the group, fixes each point (one per row)."""
+    coords = np.asarray(points, dtype=np.int64).reshape(-1, spec.n).T
+    return all(
+        np.array_equal(_kernels.matmul_mod(g.entries, coords, spec.p), coords)
+        for g in spec.generators
+    )
 
 
 def is_invariant(f: Polynomial, spec: GroupSpec) -> bool:

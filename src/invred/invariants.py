@@ -10,9 +10,11 @@ epsilon(spec, v) is the least positive degree of a homogeneous invariant that
 does not vanish at v. For a nonzero fixed point of a finite group it is
 always finite: the orbit norm of a coordinate functional nonzero at v is an
 invariant of degree |G| with value l(v)^|G| != 0 there. That makes |G| an
-exact default search bound, and the maximum of epsilon over the nonzero fixed
-points (delta_over_fixed_points) well defined. Both walk the degrees once,
-each elimination shared by every point not yet separated. At fixed points
+exact default search bound, and delta, the maximum of epsilon over the nonzero
+fixed points, well defined. delta_over_fixed_points returns it as a
+DeltaResult with every point's EpsilonResult, the group order and the fixed
+space dimension. Both it and epsilon walk the degrees once in one shared
+search, each elimination serving every point not yet separated. At fixed points
 only the degrees 1, p, p^2, ... are eliminated: an invariant of degree p^r*d,
 d coprime to p, that is nonzero at a fixed point yields one of degree p^r
 that is too (the p-power reduction), so there epsilon is a power of p.
@@ -31,20 +33,13 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, FixedSpaceLimitError, SliceLimitError
 from .gfp import Prime
-from .group import (
-    DEFAULT_GROUP_CAP,
-    GroupSpec,
-    MatrixGFp,
-    act,
-    as_vector,
-    enumerate_group,
-    fixed_space,
-)
+from .group import GroupSpec, MatrixGFp, act, as_vector, enumerate_group, fixed_space, fixes
 from .poly import Polynomial, parent_table, promote_table
 
 __all__ = [
     "DegreeSliceBasis",
     "EpsilonResult",
+    "DeltaResult",
     "induced_slice_matrix",
     "invariant_basis",
     "epsilon",
@@ -205,10 +200,7 @@ def _epsilon_search(spec: GroupSpec, points: Sequence, bound: int) -> list[Epsil
     levels = [slice_levels(g.inv().entries, p) for g in spec.generators]
     results = [EpsilonResult(value=None, witness=None, searched_bound=bound)] * len(points)
     coords = np.array(points, dtype=np.int64).reshape(len(points), n)
-    fixed = all(
-        np.array_equal(_kernels.matmul_mod(g.entries, coords.T, p), coords.T)
-        for g in spec.generators
-    )
+    fixed = fixes(spec, coords)
     # at fixed points epsilon is a power of p: eliminate only at 1, p, p^2, ...
     # up to the largest power of p within bound, whose divisors they are
     stop = bound
@@ -241,12 +233,7 @@ def _epsilon_search(spec: GroupSpec, points: Sequence, bound: int) -> list[Epsil
     return results
 
 
-def epsilon(
-    spec: GroupSpec,
-    v: Sequence,
-    bound: int | None = None,
-    cap: int = DEFAULT_GROUP_CAP,
-) -> EpsilonResult:
+def epsilon(spec: GroupSpec, v: Sequence, bound: int | None = None) -> EpsilonResult:
     """Least degree of a homogeneous invariant nonzero at v, with a witness.
 
     Searches degrees 1..bound: one elimination per degree, or, when v is
@@ -258,13 +245,13 @@ def epsilon(
     if not vec.any():
         raise DomainError("epsilon is undefined at the zero vector")
     if bound is None:
-        bound = enumerate_group(spec, cap).order
+        bound = enumerate_group(spec).order
     elif bound < 1:
         raise DomainError("bound must be positive")
     return _epsilon_search(spec, [vec], bound)[0]
 
 
-def orbit_norm(spec: GroupSpec, l: Polynomial, cap: int = DEFAULT_GROUP_CAP) -> Polynomial:
+def orbit_norm(spec: GroupSpec, l: Polynomial) -> Polynomial:
     """Product of the images of a linear form over the whole group.
 
     An invariant of degree |G|. At any fixed point v its value is l(v)^|G|,
@@ -273,7 +260,7 @@ def orbit_norm(spec: GroupSpec, l: Polynomial, cap: int = DEFAULT_GROUP_CAP) -> 
     if l.is_zero or not l.is_homogeneous() or l.degree() != 1:
         raise DomainError("orbit norm needs a homogeneous linear form")
     result = Polynomial.one(l.p, l.nvars)
-    for g in enumerate_group(spec, cap):
+    for g in enumerate_group(spec):
         result = result * act(g, l)
     return result
 
@@ -282,32 +269,43 @@ def enumerate_fixed_points(
     spec: GroupSpec, max_points: int = DEFAULT_FIXED_POINT_LIMIT
 ) -> Iterator[np.ndarray]:
     """All nonzero GF(p)-points of the fixed space, deterministic order."""
-    basis = fixed_space(spec)
+    return _span_points(spec, fixed_space(spec), max_points)
+
+
+def _span_points(spec: GroupSpec, basis: list, max_points: int) -> Iterator[np.ndarray]:
+    """Nonzero points of the span of ``basis``, coefficient tuples in order."""
     p = int(spec.p)
-    if basis:
-        total = p ** len(basis)
-        if total > max_points:
-            raise FixedSpaceLimitError(
-                f"fixed space has {total} points, over the limit of {max_points}"
-            )
+    total = p ** len(basis)
+    if basis and total > max_points:
+        raise FixedSpaceLimitError(f"fixed space has {total} points, over the limit of {max_points}")
     mat = np.array(basis, dtype=np.int64).reshape(len(basis), spec.n)
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = np.asarray(coeffs, dtype=np.int64) @ mat % p
-        yield vec
+    coeffs = itertools.product(range(p), repeat=len(basis))
+    return (np.asarray(c, dtype=np.int64) @ mat % p for c in coeffs if any(c))
 
 
-def delta_over_fixed_points(
-    spec: GroupSpec,
-    cap: int = DEFAULT_GROUP_CAP,
-    max_points: int = DEFAULT_FIXED_POINT_LIMIT,
-) -> int:
-    """Maximum of epsilon over the nonzero fixed points; 0 if there are none.
+@dataclass(frozen=True)
+class DeltaResult:
+    """Outcome of delta_over_fixed_points: the nonzero fixed points in
+    ``enumerate_fixed_points`` order, their EpsilonResults (each searched to
+    |G|, so finite) and ``value``, the largest epsilon, 0 if there are none."""
 
-    One search to |G|, which the orbit norm makes exact, serves every point,
-    each elimination shared, so every epsilon here is finite.
+    value: int
+    group_order: int
+    fixed_space_dimension: int
+    points: tuple[np.ndarray, ...]
+    epsilons: tuple[EpsilonResult, ...]
+
+
+def delta_over_fixed_points(spec: GroupSpec) -> DeltaResult:
+    """delta, the maximum of epsilon over the nonzero fixed points.
+
+    The group is enumerated and the fixed space computed once each. One
+    search to |G|, exact by the orbit norm, serves every point; as all are
+    fixed, it eliminates only at 1, p, p^2, ...
     """
-    order = enumerate_group(spec, cap).order
-    results = _epsilon_search(spec, list(enumerate_fixed_points(spec, max_points)), order)
-    return max((r.value for r in results), default=0)
+    order = enumerate_group(spec).order
+    basis = fixed_space(spec)
+    points = tuple(_span_points(spec, basis, DEFAULT_FIXED_POINT_LIMIT))
+    results = tuple(_epsilon_search(spec, points, order))
+    value = max((r.value for r in results), default=0)
+    return DeltaResult(value, order, len(basis), points, results)

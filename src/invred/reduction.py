@@ -37,7 +37,8 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError, PreconditionError
 from .gfp import FieldElement, Prime
-from .group import GroupSpec, MatrixGFp, as_vector, is_invariant
+from .group import GroupSpec, MatrixGFp, as_vector, fixes, is_invariant
+from .invariants import _check_slice_limit
 from .poly import Polynomial
 
 __all__ = [
@@ -111,13 +112,14 @@ class ReductionResult:
     f_tilde is in the original coordinates; basis_change and c_list record
     the adapted-coordinate intermediates (c_list is normalized so c_list[0]
     is the constant 1, and truncated at index p^r). normalization is the
-    original value f(v).
+    original value f(v), and factorization splits deg f as p^r * d.
     """
 
     f_tilde: Polynomial
     basis_change: MatrixGFp
     c_list: tuple[Polynomial, ...]
     normalization: FieldElement
+    factorization: DegreeFactorization
 
 
 def reduce_degree(spec: GroupSpec, f: Polynomial, v: Sequence) -> ReductionResult:
@@ -125,23 +127,24 @@ def reduce_degree(spec: GroupSpec, f: Polynomial, v: Sequence) -> ReductionResul
 
     Preconditions (each failure raises PreconditionError with a stable code):
     v nonzero and fixed by the group, f homogeneous of positive degree and
-    invariant, f(v) != 0. The result is homogeneous of degree p^r, invariant,
-    and has value 1 at v; those three facts are re-verified before returning
-    and a failure raises InternalConsistencyError, since it can only mean a
-    bug in this package.
+    invariant, f(v) != 0. A degree whose slice exceeds the slice-dimension
+    guard raises SliceLimitError before f is evaluated or substituted. The
+    result is homogeneous of degree p^r, invariant, and has value 1 at v;
+    those three facts are re-verified before returning and a failure raises
+    InternalConsistencyError, since it can only mean a bug in this package.
     """
     p, n = spec.p, spec.n
     vec = as_vector(v, n, p)
     if not vec.any():
         raise PreconditionError("zero-vector", "query point is the zero vector")
-    for g in spec.generators:
-        if not np.array_equal(g.apply(vec), vec):
-            raise PreconditionError("not-fixed-point", "point is not fixed by the group")
+    if not fixes(spec, vec):
+        raise PreconditionError("not-fixed-point", "point is not fixed by the group")
     if f.is_zero or not f.is_homogeneous():
         raise PreconditionError("inhomogeneous", "polynomial is not homogeneous and nonzero")
     degree = f.degree()
     if degree < 1:
         raise PreconditionError("constant", "polynomial must have positive degree")
+    _check_slice_limit(n, degree)
     value = f.evaluate(vec)
     if not value:
         raise PreconditionError("vanishes-at-point", "invariant vanishes at point")
@@ -177,4 +180,5 @@ def reduce_degree(spec: GroupSpec, f: Polynomial, v: Sequence) -> ReductionResul
         basis_change=basis_change,
         c_list=c_list,
         normalization=value,
+        factorization=fact,
     )

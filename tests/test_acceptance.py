@@ -94,7 +94,7 @@ def test_criterion_3_family_delta():
     for lam in (0, 1):
         spec = iv.example_action(2, 2, lam)
         order = iv.enumerate_group(spec).order
-        value = iv.delta_over_fixed_points(spec)
+        value = iv.delta_over_fixed_points(spec).value
         assert value == 4 == order, f"lambda={lam}: delta {value}, order {order}"
     report_line(3, True, "p=2, m=2: delta over fixed points = 4 = |G|")
 

@@ -1,7 +1,13 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import invred
 from invred import epsilon, example_action
 from invred.cli import main
 from invred.formats import group_spec_json, load_group_spec
@@ -172,6 +178,34 @@ def test_reduce_fixture(tmp_path, capsys):
     assert result["verified"]["invariant"] is True
 
 
+def test_reduce_slice_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # (x0^2 + x0*x1)^32 = x0^64 + x0^32*x1^32 over GF(2): an invariant of
+    # degree 64, whose slice has dimension 65
+    spec = write_json(tmp_path, "spec.json", UNIPOTENT_2D)
+    terms = [{"exponents": [64, 0], "coeff": 1}, {"exponents": [32, 32], "coeff": 1}]
+    poly = write_json(tmp_path, "f.json", {"terms": terms})
+    argv = ("reduce", "--spec", str(spec), "--poly", str(poly), "--vector", "1,0")
+    assert run_report(capsys, *argv)["result"]["reduced_degree"] == 64
+    monkeypatch.setenv("INVRED_SLICE_LIMIT", "50")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "slice dimension 65 at degree 64" in err
+
+
+def test_reduce_huge_exponent_exits_3_promptly(tmp_path):
+    # x0^(10^23) is invariant and nonzero at e0; its slice is far over the limit
+    spec = write_json(tmp_path, "spec.json", UNIPOTENT_2D)
+    poly = write_json(tmp_path, "f.json", {"terms": [{"exponents": [10**23, 0], "coeff": 1}]})
+    src = Path(invred.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "invred.cli", "reduce", "--spec", str(spec),
+         "--poly", str(poly), "--vector", "1,0"],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "resource limit" in proc.stderr
+
+
 def test_reduce_vanishing_invariant_exits_2(tmp_path, capsys):
     spec = write_json(tmp_path, "spec.json", UNIPOTENT_2D)
     poly = write_json(tmp_path, "f.json", {"terms": [{"exponents": [0, 2], "coeff": 1}]})
@@ -266,6 +300,37 @@ def test_delta_family_p2(tmp_path, capsys):
     group = load_group_spec(spec)
     for entry in report["result"]["per_point"]:
         assert entry["epsilon"] == epsilon(group, entry["vector"]).value
+
+
+def test_delta_computes_the_fixed_space_once(tmp_path, capsys, monkeypatch):
+    original = invred.group.fixed_space
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("invred") and getattr(module, "fixed_space", None) is original:
+            monkeypatch.setattr(module, "fixed_space", counting)
+    spec = write_json(tmp_path, "spec.json", SECT3_P2)
+    run_report(capsys, "delta", "--spec", str(spec))
+    assert len(calls) == 1
+
+
+def test_cli_imports_no_private_names():
+    # the CLI formats what public library calls return; it reaches nothing private
+    tree = ast.parse(Path(invred.cli.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("invred")):
+            parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+            private += [name for name in parts if name.startswith("_") and not name.endswith("__")]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("invred"):
+                    private += [n for n in alias.name.split(".") if n.startswith("_")]
+    assert not private
 
 
 # ---- report plumbing -------------------------------------------------------------

@@ -20,6 +20,7 @@ from invred import (
     enumerate_group,
     epsilon,
     example_action,
+    fixed_space,
     induced_slice_matrix,
     invariant_basis,
     is_invariant,
@@ -325,18 +326,18 @@ def test_enumerate_fixed_points_limit():
 
 
 def test_delta_trivial_group():
-    assert delta_over_fixed_points(GroupSpec.trivial(3, 2)) == 1
+    assert delta_over_fixed_points(GroupSpec.trivial(3, 2)).value == 1
 
 
 def test_delta_no_fixed_points_is_zero():
     # -I on GF(3)^2 fixes only zero
     spec = GroupSpec(Prime(3), 2, (MatrixGFp([[2, 0], [0, 2]], 3),))
-    assert delta_over_fixed_points(spec) == 0
+    assert delta_over_fixed_points(spec).value == 0
 
 
 def test_delta_family_p2():
     for lam in (0, 1):
-        assert delta_over_fixed_points(example_action(2, 2, lam)) == 4
+        assert delta_over_fixed_points(example_action(2, 2, lam)).value == 4
 
 
 def test_delta_bounded_by_group_order():
@@ -344,4 +345,31 @@ def test_delta_bounded_by_group_order():
     for _ in range(5):
         p = rng.choice((2, 3))
         spec, order = support.random_small_group(rng, p, 2, 9)
-        assert delta_over_fixed_points(spec) <= order
+        assert delta_over_fixed_points(spec).value <= order
+
+
+DELTA_SPECS = {
+    "family-2-6-0": example_action(2, 6, 0),
+    "family-3-2-0": example_action(3, 2, 0),
+    "family-3-2-1": example_action(3, 2, 1),
+    "family-3-2-2": example_action(3, 2, 2),
+    "trivial": GroupSpec.trivial(3, 2),
+    "no-fixed-points": GroupSpec(Prime(3), 2, (MatrixGFp([[2, 0], [0, 2]], 3),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_SPECS))
+def test_delta_result_matches_independent_calls(name):
+    spec = DELTA_SPECS[name]
+    res = delta_over_fixed_points(spec)
+    order = enumerate_group(spec).order
+    points = list(enumerate_fixed_points(spec))
+    assert res.group_order == order
+    assert res.fixed_space_dimension == len(fixed_space(spec))
+    assert len(res.points) == len(res.epsilons) == len(points)
+    for got, want in zip(res.points, points):
+        assert np.array_equal(got, want)
+    for v, eps in zip(res.points, res.epsilons):
+        assert eps.value == epsilon(spec, v).value
+        assert eps.searched_bound == order
+    assert res.value == max((eps.value for eps in res.epsilons), default=0)

@@ -14,6 +14,7 @@ from invred import (
     Polynomial,
     PreconditionError,
     Prime,
+    SliceLimitError,
     adapted_decomposition,
     epsilon,
     example_action,
@@ -231,6 +232,42 @@ def test_reduce_off_origin_point():
     assert res.f_tilde.degree() == 1
     assert res.f_tilde.evaluate(v).residue == 1
     assert res.normalization.residue == 2
+
+
+def factorization_cases():
+    spec, f, v = gf2_fixture()
+    family = example_action(2, 2, 0)
+    e_m = [0, 0, 0, 1]
+    return [
+        (spec, f, v),
+        (GroupSpec.trivial(3, 2), Polynomial.monomial(3, 2, (5, 0)), [1, 0]),
+        (family, epsilon(family, e_m).witness, e_m),
+        (GroupSpec.trivial(5, 2), Polynomial.monomial(5, 2, (3, 0), 4), [1, 0]),
+        (GroupSpec.trivial(3, 2), Polynomial(3, 2, {(2, 0): 1, (0, 2): 1}), [1, 2]),
+        (GroupSpec.trivial(3, 2), Polynomial.monomial(3, 2, (18, 0)), [1, 0]),
+    ]
+
+
+def test_reduce_reports_its_factorization():
+    for spec, f, v in factorization_cases():
+        res = reduce_degree(spec, f, v)
+        assert res.factorization == factor_p_power(f.degree(), spec.p)
+        assert res.f_tilde.degree() == int(spec.p) ** res.factorization.r
+
+
+def test_reduce_checks_slice_limit_before_evaluating(monkeypatch):
+    # degree 64 in two variables: a 65-dimensional slice
+    spec, _, v = gf2_fixture()
+    f = Polynomial(2, 2, {(2, 0): 1, (1, 1): 1}) ** 32
+    assert reduce_degree(spec, f, v).f_tilde.degree() == 64
+    monkeypatch.setenv("INVRED_SLICE_LIMIT", "50")
+
+    def unreachable(*args):
+        raise AssertionError("evaluated before the slice limit was checked")
+
+    monkeypatch.setattr(Polynomial, "evaluate", unreachable)
+    with pytest.raises(SliceLimitError):
+        reduce_degree(spec, f, v)
 
 
 @pytest.mark.parametrize(
