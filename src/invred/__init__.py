@@ -30,7 +30,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .gfp import FieldElement, Prime, binomial_congruence_holds, lucas_binomial, lucas_factors
-from .poly import Monomial, Polynomial, monomial_basis
+from .poly import Monomial, Polynomial, monomial_basis, slice_dimension
 from .group import (
     GroupElements,
     GroupSpec,
@@ -51,7 +51,6 @@ from .invariants import (
     induced_slice_matrix,
     invariant_basis,
     orbit_norm,
-    slice_dimension,
 )
 from .reduction import (
     DegreeFactorization,

@@ -41,7 +41,8 @@ from .formats import (
 )
 from .gfp import Prime, lucas_binomial, lucas_factors
 from .group import enumerate_group, example_action
-from .invariants import delta_over_fixed_points, epsilon, invariant_basis, slice_dimension
+from .invariants import delta_over_fixed_points, epsilon, invariant_basis
+from .poly import slice_dimension
 from .reduction import reduce_degree
 
 
@@ -121,8 +122,8 @@ def _cmd_reduce(args) -> dict:
 
 
 def _cmd_example(args) -> dict:
-    p = Prime(args.p)
-    spec = example_action(p, args.m, args.lam)
+    spec = example_action(args.p, args.m, args.lam)
+    p = spec.p
     elements = enumerate_group(spec)
     e_m = [0] * (2 * args.m - 1) + [1]
     result = epsilon(spec, e_m, bound=elements.order)

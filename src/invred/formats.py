@@ -14,7 +14,7 @@ from typing import Any
 
 from .errors import FormatError
 from .gfp import Prime
-from .group import GroupSpec, MatrixGFp
+from .group import GroupSpec, MatrixGFp, check_modulus
 from .poly import Polynomial
 
 
@@ -49,6 +49,7 @@ def parse_group_spec(data: Any, origin: str = "spec") -> GroupSpec:
     if unknown:
         _fail(origin, f"unknown fields {sorted(unknown)}")
     p_raw = _require_int(data["p"], "p")
+    check_modulus(p_raw)
     try:
         p = Prime(p_raw)
     except Exception:

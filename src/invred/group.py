@@ -35,10 +35,18 @@ __all__ = [
     "fixes",
     "is_invariant",
     "example_action",
+    "check_modulus",
     "DEFAULT_GROUP_CAP",
 ]
 
 DEFAULT_GROUP_CAP = 1_000_000
+
+
+def check_modulus(p) -> None:
+    """Refuse a modulus over the int64 kernels' limit. Callers run it before
+    ``Prime(p)``, whose trial division would not finish on a huge p."""
+    if int(p) > _kernels.MAX_PRIME:
+        raise DomainError(f"p = {p} exceeds {_kernels.MAX_PRIME}, the int64 kernels' limit")
 
 
 class MatrixGFp:
@@ -47,9 +55,8 @@ class MatrixGFp:
     __slots__ = ("p", "entries", "_inv")
 
     def __init__(self, entries, p):
+        check_modulus(p)
         p = Prime(p)
-        if p > _kernels.MAX_PRIME:
-            raise DomainError(f"p = {p} exceeds {_kernels.MAX_PRIME}, the int64 kernels' limit")
         arr = np.array(getattr(entries, "entries", entries), dtype=np.int64) % p
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"matrix must be square, got shape {arr.shape}")
@@ -160,6 +167,7 @@ class GroupSpec:
     generators: tuple[MatrixGFp, ...]
 
     def __post_init__(self):
+        check_modulus(self.p)
         object.__setattr__(self, "p", Prime(self.p))
         gens = tuple(
             g if isinstance(g, MatrixGFp) else MatrixGFp(g, self.p)
@@ -179,7 +187,7 @@ class GroupSpec:
 
     @classmethod
     def trivial(cls, p, n: int) -> "GroupSpec":
-        return cls(Prime(p), n, (MatrixGFp.identity(n, p),))
+        return cls(p, n, (MatrixGFp.identity(n, p),))
 
 
 @dataclass(frozen=True)
@@ -257,19 +265,15 @@ def fixes(spec: GroupSpec, points) -> bool:
 def is_invariant(f: Polynomial, spec: GroupSpec) -> bool:
     """Whether f is formally fixed by every generator (hence the group).
 
-    Each homogeneous component is compared with its sparse image under each
-    generator; in characteristic p powers of linear forms stay sparse.
+    f is compared with its sparse image under each generator; in
+    characteristic p powers of linear forms stay sparse.
     """
     if f.nvars != spec.n or f.p != spec.p:
         raise ShapeMismatchError(
             f"polynomial in {f.nvars} vars over GF({f.p}) vs group on "
             f"{spec.n} dims over GF({spec.p})"
         )
-    return all(
-        act(g, comp) == comp
-        for comp in f.homogeneous_parts().values()
-        for g in spec.generators
-    )
+    return all(act(g, f) == f for g in spec.generators)
 
 
 def example_action(p, m: int, lam=0) -> GroupSpec:
@@ -282,6 +286,7 @@ def example_action(p, m: int, lam=0) -> GroupSpec:
     basis vector e_m is fixed by the whole group. Requires m >= 2 (the Jordan
     block needs a subdiagonal entry to make the two generators independent).
     """
+    check_modulus(p)
     p = Prime(p)
     if m < 2:
         raise DomainError(f"m must be at least 2, got {m}")

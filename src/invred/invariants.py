@@ -23,18 +23,16 @@ that is too (the p-power reduction), so there epsilon is a power of p.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, FixedSpaceLimitError, SliceLimitError
+from .errors import DomainError, FixedSpaceLimitError
 from .gfp import Prime
 from .group import GroupSpec, MatrixGFp, act, as_vector, enumerate_group, fixed_space, fixes
-from .poly import Polynomial, parent_table, promote_table
+from .poly import Polynomial, parent_table, slice_images, slice_levels
 
 __all__ = [
     "DegreeSliceBasis",
@@ -46,58 +44,10 @@ __all__ = [
     "orbit_norm",
     "delta_over_fixed_points",
     "enumerate_fixed_points",
-    "slice_dimension",
-    "slice_limit",
-    "DEFAULT_SLICE_LIMIT",
     "DEFAULT_FIXED_POINT_LIMIT",
 ]
 
-DEFAULT_SLICE_LIMIT = 20_000
 DEFAULT_FIXED_POINT_LIMIT = 65_536
-
-
-def slice_dimension(nvars: int, degree: int) -> int:
-    return comb(nvars + degree - 1, degree)
-
-
-def slice_limit() -> int:
-    """Slice-dimension guard; INVRED_SLICE_LIMIT overrides the default."""
-    raw = os.environ.get("INVRED_SLICE_LIMIT", "")
-    if raw.strip():
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise DomainError(f"INVRED_SLICE_LIMIT={raw!r} is not an integer") from exc
-        if value < 1:
-            raise DomainError("INVRED_SLICE_LIMIT must be positive")
-        return value
-    return DEFAULT_SLICE_LIMIT
-
-
-def slice_levels(subst: np.ndarray, p: Prime) -> Iterator[_kernels.CSR]:
-    """Slice images of degree 1, 2, ..., in compressed sparse rows: row t of
-    the degree-d item holds the coordinates of the image of the t-th degree-d
-    monomial.
-
-    ``subst`` is the substitution matrix (row i = image of x_i). A monomial
-    is a parent monomial times one variable, so its image is the parent
-    image times one substituted variable: each level is built from the last.
-    """
-    n = subst.shape[0]
-    level = _kernels.CSR.identity(1)
-    for k in itertools.count(1):
-        parent_rank, parent_var = parent_table(n, k)
-        promote = promote_table(n, k - 1)
-        level = _kernels.next_slice_level(level, parent_rank, parent_var, promote, subst, p)
-        yield level
-
-
-def slice_images(subst: np.ndarray, degree: int, p: Prime) -> _kernels.CSR:
-    """The degree-th item of ``slice_levels``; degree 0 gives the 1x1 identity."""
-    level = _kernels.CSR.identity(1)
-    for level in itertools.islice(slice_levels(subst, p), degree):
-        pass
-    return level
 
 
 def induced_slice_matrix(g: MatrixGFp, degree: int) -> MatrixGFp:
@@ -122,16 +72,6 @@ class DegreeSliceBasis:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-
-def _check_slice_limit(n: int, degree: int) -> None:
-    """Raise SliceLimitError before any level of a too-large slice is built."""
-    dim = slice_dimension(n, degree)
-    limit = slice_limit()
-    if dim > limit:
-        raise SliceLimitError(
-            f"slice dimension {dim} at degree {degree} exceeds limit {limit}"
-        )
 
 
 def _invariant_rows(images: Sequence[_kernels.CSR], p: Prime) -> np.ndarray:
@@ -162,7 +102,6 @@ def invariant_basis(spec: GroupSpec, degree: int) -> DegreeSliceBasis:
     if degree < 1:
         raise DomainError(f"degree must be positive, got {degree}")
     n, p = spec.n, spec.p
-    _check_slice_limit(n, degree)
     rows = _invariant_rows([slice_images(g.inv().entries, degree, p) for g in spec.generators], p)
     basis = tuple(Polynomial.from_coordinates(p, n, degree, row) for row in rows)
     return DegreeSliceBasis(degree=degree, basis=basis)
@@ -213,7 +152,6 @@ def _epsilon_search(spec: GroupSpec, points: Sequence, bound: int) -> list[Epsil
     for d in range(1, stop + 1):
         if not unresolved.size:
             break
-        _check_slice_limit(n, d)
         tables = [next(it) for it in levels]
         parent_rank, parent_var = parent_table(n, d)
         values = values[:, parent_rank] * coords[unresolved][:, parent_var] % p

@@ -13,17 +13,25 @@ for all the linear algebra built on top.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError
+from . import _kernels
+from .errors import DomainError, ShapeMismatchError, SliceLimitError
 from .gfp import FieldElement, Prime
 
-__all__ = ["Monomial", "Polynomial", "monomial_basis"]
+__all__ = [
+    "Monomial", "Polynomial", "monomial_basis", "slice_dimension", "slice_limit",
+    "check_slice_limit", "slice_levels", "slice_images", "DEFAULT_SLICE_LIMIT",
+]
+
+DEFAULT_SLICE_LIMIT = 20_000
 
 
 @total_ordering
@@ -125,6 +133,60 @@ def parent_table(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
     """The degree-d monomials in nvars variables, descending graded-lex."""
     return [Monomial(m) for m in slice_monomials(nvars, degree)]
+
+
+def slice_dimension(nvars: int, degree: int) -> int:
+    return comb(nvars + degree - 1, degree)
+
+
+def slice_limit() -> int:
+    """Slice-dimension guard; INVRED_SLICE_LIMIT overrides the default."""
+    raw = os.environ.get("INVRED_SLICE_LIMIT", "")
+    if raw.strip():
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise DomainError(f"INVRED_SLICE_LIMIT={raw!r} is not an integer") from exc
+        if value < 1:
+            raise DomainError("INVRED_SLICE_LIMIT must be positive")
+        return value
+    return DEFAULT_SLICE_LIMIT
+
+
+def check_slice_limit(nvars: int, degree: int) -> None:
+    """Raise SliceLimitError if the degree-d slice is over the limit; slice_levels,
+    slice_images and Polynomial.substitute run it before their slice-sized work."""
+    dim, limit = slice_dimension(nvars, degree), slice_limit()
+    if dim > limit:
+        raise SliceLimitError(f"slice dimension {dim} at degree {degree} exceeds limit {limit}")
+
+
+def slice_levels(subst: np.ndarray, p: Prime) -> Iterator[_kernels.CSR]:
+    """Slice images of degree 1, 2, ..., in compressed sparse rows: row t of
+    the degree-d item holds the coordinates of the image of the t-th degree-d
+    monomial.
+
+    ``subst`` is the substitution matrix (row i = image of x_i). A monomial
+    is a parent monomial times one variable, so its image is the parent
+    image times one substituted variable: each level is built from the last.
+    """
+    n = subst.shape[0]
+    level = _kernels.CSR.identity(1)
+    for k in itertools.count(1):
+        check_slice_limit(n, k)
+        parent_rank, parent_var = parent_table(n, k)
+        promote = promote_table(n, k - 1)
+        level = _kernels.next_slice_level(level, parent_rank, parent_var, promote, subst, p)
+        yield level
+
+
+def slice_images(subst: np.ndarray, degree: int, p: Prime) -> _kernels.CSR:
+    """The degree-th item of ``slice_levels``; degree 0 gives the 1x1 identity."""
+    check_slice_limit(subst.shape[0], degree)
+    level = _kernels.CSR.identity(1)
+    for level in itertools.islice(slice_levels(subst, p), degree):
+        pass
+    return level
 
 
 def _as_residue(c, p: Prime) -> int:
@@ -370,6 +432,7 @@ class Polynomial:
             raise ShapeMismatchError(
                 f"substitution matrix has shape {m.shape}, expected {(n, n)}"
             )
+        check_slice_limit(n, self.degree() or 0)
         images = [
             Polynomial(p, n, {tuple(int(j == k) for k in range(n)): int(m[i, j]) for j in range(n)})
             for i in range(n)

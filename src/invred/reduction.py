@@ -38,8 +38,7 @@ from . import _kernels
 from .errors import DomainError, InternalConsistencyError, PreconditionError
 from .gfp import FieldElement, Prime
 from .group import GroupSpec, MatrixGFp, as_vector, fixes, is_invariant
-from .invariants import _check_slice_limit
-from .poly import Polynomial
+from .poly import Polynomial, check_slice_limit
 
 __all__ = [
     "DegreeFactorization",
@@ -144,7 +143,7 @@ def reduce_degree(spec: GroupSpec, f: Polynomial, v: Sequence) -> ReductionResul
     degree = f.degree()
     if degree < 1:
         raise PreconditionError("constant", "polynomial must have positive degree")
-    _check_slice_limit(n, degree)
+    check_slice_limit(n, degree)
     value = f.evaluate(vec)
     if not value:
         raise PreconditionError("vanishes-at-point", "invariant vanishes at point")

@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 import invred as iv
+
+
+def run_python(*args: str, timeout: float = 20) -> subprocess.CompletedProcess:
+    """``python *args`` with this invred importable; a run that hangs fails
+    the calling test with subprocess.TimeoutExpired after ``timeout`` seconds."""
+    src = Path(iv.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
 
 
 def random_matrix(rng: random.Random, p: int, n: int) -> iv.MatrixGFp:

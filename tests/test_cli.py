@@ -1,13 +1,12 @@
 import ast
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import invred
+import support
 from invred import epsilon, example_action
 from invred.cli import main
 from invred.formats import group_spec_json, load_group_spec
@@ -90,6 +89,18 @@ def test_basis_prime_above_kernel_range_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "basis", "--spec", str(spec), "--degree", "1")
     assert code == 2
     assert "1048573" in err
+
+
+def test_huge_prime_modulus_exits_2_promptly(tmp_path):
+    # 10^18 + 3 is prime; it is refused by size before a primality test
+    # whose trial division would not finish
+    p = 10**18 + 3
+    spec = write_json(tmp_path, "huge.json", {"p": p, "n": 1, "generators": [[[1]]]})
+    runs = [("basis", "--spec", str(spec), "--degree", "1"), ("example", "--p", str(p), "--m", "2")]
+    for argv in runs:
+        proc = support.run_python("-m", "invred.cli", *argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "exceeds 1048573" in proc.stderr
 
 
 def test_basis_reduces_oversized_entries_on_load(tmp_path, capsys):
@@ -196,11 +207,8 @@ def test_reduce_huge_exponent_exits_3_promptly(tmp_path):
     # x0^(10^23) is invariant and nonzero at e0; its slice is far over the limit
     spec = write_json(tmp_path, "spec.json", UNIPOTENT_2D)
     poly = write_json(tmp_path, "f.json", {"terms": [{"exponents": [10**23, 0], "coeff": 1}]})
-    src = Path(invred.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "invred.cli", "reduce", "--spec", str(spec),
-         "--poly", str(poly), "--vector", "1,0"],
-        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": str(src)},
+    proc = support.run_python(
+        "-m", "invred.cli", "reduce", "--spec", str(spec), "--poly", str(poly), "--vector", "1,0"
     )
     assert proc.returncode == 3, proc.stderr
     assert "resource limit" in proc.stderr
@@ -330,6 +338,21 @@ def test_cli_imports_no_private_names():
             for alias in node.names:
                 if alias.name.startswith("invred"):
                     private += [n for n in alias.name.split(".") if n.startswith("_")]
+    assert not private
+
+
+def test_package_imports_no_private_names():
+    # no invred module imports another's underscore name; `from . import
+    # _kernels` imports a module and stays allowed
+    private = []
+    for path in sorted(Path(invred.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module is not None
+                    and (node.level or node.module.startswith("invred"))):
+                private += [
+                    f"{path.name}:{node.lineno}" for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
     assert not private
 
 

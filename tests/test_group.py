@@ -225,6 +225,24 @@ def test_is_invariant_fixture():
     assert not is_invariant(Polynomial.variable(2, 2, 0), spec)
 
 
+@pytest.mark.parametrize("linear,expected", [((1, 0), False), ((0, 1), True)])
+def test_is_invariant_on_inhomogeneous_polynomial(monkeypatch, linear, expected):
+    # x0^2 + x0*x1 is invariant; x0 is not, x1 is. The whole polynomial is
+    # substituted once per generator, not once per homogeneous component
+    spec = unipotent_2d_spec()
+    f = Polynomial(2, 2, {(2, 0): 1, (1, 1): 1, linear: 1})
+    calls = []
+    substitute = Polynomial.substitute
+
+    def counting(self, matrix):
+        calls.append(self)
+        return substitute(self, matrix)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    assert is_invariant(f, spec) is expected
+    assert calls == [f]
+
+
 def test_invariance_extends_to_whole_group():
     # generator criterion implies invariance under every element
     rng = random.Random(23)

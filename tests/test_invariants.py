@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -15,11 +16,13 @@ from invred import (
     ShapeMismatchError,
     SliceLimitError,
     act,
+    adapted_decomposition,
     delta_over_fixed_points,
     enumerate_fixed_points,
     enumerate_group,
     epsilon,
     example_action,
+    extend_to_basis,
     fixed_space,
     induced_slice_matrix,
     invariant_basis,
@@ -28,6 +31,7 @@ from invred import (
     orbit_norm,
     slice_dimension,
     _kernels,
+    poly,
 )
 
 
@@ -154,9 +158,9 @@ def test_slice_limit_guard(monkeypatch):
         invariant_basis(GroupSpec.trivial(2, 3), 4)
 
 
-def test_slice_limit_guard_runs_at_every_search_degree(monkeypatch):
-    # epsilon at this fixed point eliminates only at degrees 1, 2 and 4, yet
-    # degree 3 (dimension 20) is refused before any of its levels is built
+@pytest.fixture
+def built_levels(monkeypatch):
+    """Row counts of the slice levels built while the test runs."""
     built = []
     next_level = _kernels.next_slice_level
 
@@ -165,10 +169,69 @@ def test_slice_limit_guard_runs_at_every_search_degree(monkeypatch):
         return next_level(prev, parent_rank, *args)
 
     monkeypatch.setattr(_kernels, "next_slice_level", recording)
+    return built
+
+
+def test_slice_limit_guard_runs_at_every_search_degree(monkeypatch, built_levels):
+    # epsilon at this fixed point eliminates only at degrees 1, 2 and 4, yet
+    # degree 3 (dimension 20) is refused before any of its levels is built
+    built = built_levels
     monkeypatch.setenv("INVRED_SLICE_LIMIT", "15")
     with pytest.raises(SliceLimitError, match="slice dimension 20 at degree 3 exceeds limit 15"):
         epsilon(example_action(2, 2, 0), [0, 0, 0, 1])
     assert max(built) == 10
+
+
+def _entry_point(name):
+    # each call does degree-4 work in 3 variables: a slice of dimension 15
+    p = Prime(2)
+    g = MatrixGFp([[1, 1, 0], [0, 1, 1], [0, 0, 1]], p)
+    spec = GroupSpec(p, 3, (g,))
+    f = Polynomial(p, 3, {(4, 0, 0): 1, (2, 1, 1): 1})
+    return {
+        "slice_levels": lambda: list(itertools.islice(poly.slice_levels(g.entries, p), 4)),
+        "slice_images": lambda: poly.slice_images(g.entries, 4, p),
+        "induced_slice_matrix": lambda: induced_slice_matrix(g, 4),
+        "invariant_basis": lambda: invariant_basis(spec, 4),
+        "act": lambda: act(g, f),
+        "is_invariant": lambda: is_invariant(f, spec),
+        "substitute": lambda: f.substitute(g),
+        "adapted_decomposition": lambda: adapted_decomposition(f, extend_to_basis([0, 0, 1], p), 4),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["slice_levels", "slice_images", "induced_slice_matrix", "invariant_basis", "act",
+     "is_invariant", "substitute", "adapted_decomposition"],
+)
+def test_slice_limit_guard_at_every_entry_point(monkeypatch, built_levels, entry):
+    # under a limit of 10 degree 3 (dimension 10) is allowed and degree 4 is
+    # not: the walk builds levels 1 to 3 and stops, every other entry point
+    # refuses before building any level
+    call = _entry_point(entry)
+    call()
+    built_levels.clear()
+    monkeypatch.setenv("INVRED_SLICE_LIMIT", "10")
+    with pytest.raises(SliceLimitError, match="slice dimension 15 at degree 4 exceeds limit 10"):
+        call()
+    assert built_levels == ([3, 6, 10] if entry == "slice_levels" else [])
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "iv.is_invariant(iv.Polynomial(2, 2, {(10**23, 0): 1}),"
+        " iv.GroupSpec(2, 2, ([[1, 1], [0, 1]],)))",
+        "iv.induced_slice_matrix(iv.example_action(3, 3, 0).generators[0], 40)",
+    ],
+    ids=["is_invariant_huge_exponent", "induced_slice_matrix_degree_40"],
+)
+def test_slice_limit_refuses_huge_library_work_promptly(code):
+    # both used to run until killed; the default limit now refuses them at once
+    proc = support.run_python("-c", f"import invred as iv; {code}")
+    assert proc.returncode == 1
+    assert "SliceLimitError: slice dimension" in proc.stderr
 
 
 # ---- epsilon ---------------------------------------------------------------------
