@@ -16,12 +16,40 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the first 13 prime bases is exact below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster; OEIS A014233)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < _MR_EXACT_BELOW."""
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    s, d = 0, n - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Prime(int):
     """A positive integer verified prime at construction.
 
     Downstream code can assume field axioms for arithmetic mod a ``Prime``
-    without re-checking. Trial division is plenty at the sizes this package
-    targets.
+    without re-checking. The test is deterministic Miller-Rabin, exact below
+    3.3e24; larger values are refused rather than guessed at.
     """
 
     def __new__(cls, value) -> "Prime":
@@ -30,13 +58,10 @@ class Prime(int):
         v = int(value)
         if v != value:
             raise DomainError(f"prime modulus must be an integer, got {value!r}")
-        if v < 2:
+        if v >= _MR_EXACT_BELOW:
+            raise DomainError(f"{v} is too large to test for primality exactly")
+        if v < 2 or not _is_prime(v):
             raise DomainError(f"{v} is not prime")
-        i = 2
-        while i * i <= v:
-            if v % i == 0:
-                raise DomainError(f"{v} is not prime ({i} divides it)")
-            i += 1
         return super().__new__(cls, v)
 
 

@@ -44,7 +44,7 @@ DEFAULT_GROUP_CAP = 1_000_000
 
 def check_modulus(p) -> None:
     """Refuse a modulus over the int64 kernels' limit. Callers run it before
-    ``Prime(p)``, whose trial division would not finish on a huge p."""
+    ``Prime(p)``, so a huge p is refused by size, whether prime or not."""
     if int(p) > _kernels.MAX_PRIME:
         raise DomainError(f"p = {p} exceeds {_kernels.MAX_PRIME}, the int64 kernels' limit")
 

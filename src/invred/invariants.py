@@ -14,10 +14,16 @@ exact default search bound, and delta, the maximum of epsilon over the nonzero
 fixed points, well defined. delta_over_fixed_points returns it as a
 DeltaResult with every point's EpsilonResult, the group order and the fixed
 space dimension. Both it and epsilon walk the degrees once in one shared
-search, each elimination serving every point not yet separated. At fixed points
-only the degrees 1, p, p^2, ... are eliminated: an invariant of degree p^r*d,
-d coprime to p, that is nonzero at a fixed point yields one of degree p^r
-that is too (the p-power reduction), so there epsilon is a power of p.
+search, each elimination serving every point not yet separated.
+
+At fixed points the p-power reduction sharpens this. An invariant of degree
+p^r*d, d coprime to p, that is nonzero at a fixed point yields one of degree
+p^r that is too, so there epsilon is a power of p; applied to the orbit norm
+it gives epsilon <= |G|_p, the p-part of |G|. So at fixed points only the
+degrees 1, p, ..., |G|_p/p are eliminated, and every point still unresolved
+has epsilon = |G|_p, with the reduced orbit norm as its witness. That witness
+is built from the orbit's elementary symmetric functions up to degree |G|_p,
+never from the norm itself (see _norm_witness).
 """
 
 from __future__ import annotations
@@ -29,10 +35,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, FixedSpaceLimitError
-from .gfp import Prime
-from .group import GroupSpec, MatrixGFp, act, as_vector, enumerate_group, fixed_space, fixes
-from .poly import Polynomial, parent_table, slice_images, slice_levels
+from .errors import DomainError, FixedSpaceLimitError, GroupTooLargeError
+from .gfp import FieldElement, Prime
+from .group import (
+    GroupElements, GroupSpec, MatrixGFp, act, as_vector, enumerate_group, fixed_space, fixes,
+)
+from .poly import Polynomial, check_slice_limit, parent_table, slice_images, slice_levels
+from .reduction import DegreeFactorization, extend_to_basis, factor_p_power
 
 __all__ = [
     "DegreeSliceBasis",
@@ -112,9 +121,16 @@ class EpsilonResult:
     """Outcome of the minimal separating-degree search.
 
     ``value`` is None when no invariant of degree 1..searched_bound is nonzero
-    at the query point; for a nonzero fixed point with the default bound |G|
-    that cannot happen, so None is only seen with explicit small bounds or
-    non-fixed query points.
+    at the query point; for a nonzero fixed point with a bound of at least
+    |G|_p that cannot happen, so None is only seen with explicit small bounds
+    or non-fixed query points.
+
+    ``witness`` is homogeneous of degree ``value``, invariant and nonzero at
+    the point. At a fixed point with value |G|_p it is the p-power reduction
+    of the orbit norm of x_i, i the point's first nonzero coordinate, equal
+    to ``reduce_degree(spec, orbit_norm(spec, x_i), v).f_tilde``. Otherwise it
+    is the separating element of ``invariant_basis(spec, value)`` with the
+    least leading monomial, the earliest on ties.
     """
 
     value: int | None
@@ -126,27 +142,45 @@ class EpsilonResult:
         return self.value is not None
 
 
-def _epsilon_search(spec: GroupSpec, points: Sequence, bound: int) -> list[EpsilonResult]:
+def _epsilon_search(
+    spec: GroupSpec, points: Sequence, bound: int, group: GroupElements | None = None
+) -> list[EpsilonResult]:
     """epsilon at each point, walking degrees 1..bound once for all of them.
 
     Each degree extends every generator's slice action and the monomial
     values at the points not yet separated by one level. Where a separator
     can first appear, one nullspace is taken and its basis evaluated at
-    those points: at every degree in general, but only at 1, p, p^2, ... when
-    every point is fixed by the group, since epsilon is then a power of p.
+    those points: at every degree in general. When every point is fixed by
+    the group, epsilon is a power of p and at most q = |G|_p: the group is
+    enumerated, unless ``group`` already holds it, only 1, p, ..., q/p are
+    eliminated, and the points still unresolved get epsilon = q and
+    _norm_witness. A bound below q, or a group over the enumeration cap,
+    keeps the walk to the largest power of p within the bound.
     """
     n, p = spec.n, spec.p
     levels = [slice_levels(g.inv().entries, p) for g in spec.generators]
     results = [EpsilonResult(value=None, witness=None, searched_bound=bound)] * len(points)
     coords = np.array(points, dtype=np.int64).reshape(len(points), n)
     fixed = fixes(spec, coords)
-    # at fixed points epsilon is a power of p: eliminate only at 1, p, p^2, ...
-    # up to the largest power of p within bound, whose divisors they are
-    stop = bound
+    stop = bound  # the last degree eliminated
+    norm_degree = None  # the degree that resolves every point left after the walk
     if fixed:
-        stop = 1
-        while stop * p <= bound:
-            stop *= p
+        if group is None:
+            try:
+                group = enumerate_group(spec)
+            except GroupTooLargeError:
+                pass  # no |G|_p to stop at: the walk runs to the bound
+        if group is not None:
+            fact = factor_p_power(group.order, p)
+            q = p**fact.r
+            if bound >= q:
+                norm_degree = q
+        # the largest power of p within the walk, whose divisors are the
+        # degrees eliminated; 0 when nothing is (|G|_p = 1)
+        top = norm_degree // p if norm_degree else bound
+        stop, power = 0, 1
+        while power <= top:
+            stop, power = power, power * p
     unresolved = np.arange(len(points))
     values = np.ones((len(points), 1), dtype=np.int64)  # monomial values at the points
     for d in range(1, stop + 1):
@@ -168,25 +202,72 @@ def _epsilon_search(spec: GroupSpec, points: Sequence, bound: int) -> list[Epsil
             witness = Polynomial.from_coordinates(p, n, d, row)
             results[unresolved[j]] = EpsilonResult(value=d, witness=witness, searched_bound=bound)
         values, unresolved = values[~found], unresolved[~found]
+    if norm_degree and unresolved.size:
+        check_slice_limit(n, norm_degree)
+        for j in unresolved:
+            witness = _norm_witness(group, coords[j], p, fact)
+            results[j] = EpsilonResult(value=norm_degree, witness=witness, searched_bound=bound)
     return results
+
+
+def _norm_witness(
+    group: GroupElements, v: np.ndarray, p: Prime, fact: DegreeFactorization
+) -> Polynomial:
+    """The p-power reduction of the orbit norm N of x_i at the fixed point v,
+    i the first nonzero coordinate of v, built without forming N.
+
+    With a = v_i and lambda the first dual coordinate of extend_to_basis(v),
+    so lambda(v) = 1, each g.x_i is a*lambda + L_g with L_g(v) = 0, because v
+    is fixed. So N = sum_k a^(|G|-k) lambda^(|G|-k) e_k, e_k the elementary
+    symmetric functions of the L_g, and the reduction keeps k <= q = |G|_p:
+
+        lambda^q + (1/d) * sum_{k=1..q} a^(-k) lambda^(q-k) e_k,   |G| = q*d,
+
+    which equals reduce_degree(spec, N, v).f_tilde; ``fact`` splits |G| as
+    q*d. The e_k come from the product of (1 + t*L_g) over the group
+    truncated at t^q, |G|*q products of degree at most q.
+    """
+    n = len(v)
+    q = p**fact.r
+    i = int(np.flatnonzero(v)[0])
+    a = FieldElement(int(v[i]), p)
+    lam = Polynomial.from_coordinates(p, n, 1, extend_to_basis(v, p).inv().entries[0])
+    e = [Polynomial.one(p, n)] + [Polynomial.zero(p, n)] * q
+    for g in group:
+        # g.x_i is row i of g^-1; over the whole group the rows of g are the same multiset
+        shift = Polynomial.from_coordinates(p, n, 1, g.entries[i]) - lam.scale(a)
+        for k in range(q, 0, -1):
+            e[k] = e[k] + e[k - 1] * shift
+    # Horner in lambda: one product by a linear form per k
+    d_inv, a_inv = FieldElement(fact.d, p).inverse(), a.inverse()
+    witness = e[0]
+    for k in range(1, q + 1):
+        witness = witness * lam + e[k].scale(d_inv * a_inv**k)
+    return witness
 
 
 def epsilon(spec: GroupSpec, v: Sequence, bound: int | None = None) -> EpsilonResult:
     """Least degree of a homogeneous invariant nonzero at v, with a witness.
 
-    Searches degrees 1..bound: one elimination per degree, or, when v is
-    fixed by the group, one at each of 1, p, p^2, ... up to bound, because
-    there epsilon is a power of p. When ``bound`` is omitted the group is
-    enumerated and |G| is used, which is exact for nonzero fixed points.
+    Searches degrees 1..bound, one elimination per degree. When v is fixed
+    by the group the group is enumerated and epsilon, a power of p and at
+    most |G|_p, is found by eliminating at 1, p, ..., |G|_p/p only; if none
+    separates, it is |G|_p and the witness is the reduced orbit norm (see
+    EpsilonResult). A bound below |G|_p, or a group over the enumeration
+    cap, searches the powers of p within the bound instead. When ``bound``
+    is omitted the group is enumerated and |G| is used, which is exact for
+    nonzero fixed points.
     """
     vec = as_vector(v, spec.n, spec.p)
     if not vec.any():
         raise DomainError("epsilon is undefined at the zero vector")
+    group = None
     if bound is None:
-        bound = enumerate_group(spec).order
+        group = enumerate_group(spec)
+        bound = group.order
     elif bound < 1:
         raise DomainError("bound must be positive")
-    return _epsilon_search(spec, [vec], bound)[0]
+    return _epsilon_search(spec, [vec], bound, group)[0]
 
 
 def orbit_norm(spec: GroupSpec, l: Polynomial) -> Polynomial:
@@ -224,8 +305,9 @@ def _span_points(spec: GroupSpec, basis: list, max_points: int) -> Iterator[np.n
 @dataclass(frozen=True)
 class DeltaResult:
     """Outcome of delta_over_fixed_points: the nonzero fixed points in
-    ``enumerate_fixed_points`` order, their EpsilonResults (each searched to
-    |G|, so finite) and ``value``, the largest epsilon, 0 if there are none."""
+    ``enumerate_fixed_points`` order, their EpsilonResults (each with
+    searched_bound |G|, so finite, and at most |G|_p) and ``value``, the
+    largest epsilon, 0 if there are none."""
 
     value: int
     group_order: int
@@ -238,12 +320,13 @@ def delta_over_fixed_points(spec: GroupSpec) -> DeltaResult:
     """delta, the maximum of epsilon over the nonzero fixed points.
 
     The group is enumerated and the fixed space computed once each. One
-    search to |G|, exact by the orbit norm, serves every point; as all are
-    fixed, it eliminates only at 1, p, p^2, ...
+    search serves every point; as all are fixed, it eliminates only at
+    1, p, ..., |G|_p/p, and the points it leaves get epsilon = |G|_p with
+    the reduced orbit norm as witness.
     """
-    order = enumerate_group(spec).order
+    group = enumerate_group(spec)
     basis = fixed_space(spec)
     points = tuple(_span_points(spec, basis, DEFAULT_FIXED_POINT_LIMIT))
-    results = tuple(_epsilon_search(spec, points, order))
+    results = tuple(_epsilon_search(spec, points, group.order, group))
     value = max((r.value for r in results), default=0)
-    return DeltaResult(value, order, len(basis), points, results)
+    return DeltaResult(value, group.order, len(basis), points, results)

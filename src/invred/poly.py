@@ -386,16 +386,6 @@ class Polynomial:
     def coefficient(self, exponents: Sequence[int]) -> FieldElement:
         return FieldElement(self.terms.get(tuple(exponents), 0), self.p)
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        """Sum of the terms of total degree exactly d."""
-        return self._wrap({e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def homogeneous_parts(self) -> dict[int, "Polynomial"]:
-        parts: dict[int, dict[tuple[int, ...], int]] = {}
-        for e, c in self.terms.items():
-            parts.setdefault(sum(e), {})[e] = c
-        return {d: self._wrap(t) for d, t in sorted(parts.items())}
-
     # ---- evaluation and substitution --------------------------------------
 
     def evaluate(self, point: Sequence) -> FieldElement:

@@ -106,6 +106,18 @@ def full_walk_epsilon(spec: iv.GroupSpec, v, bound: int, bases: dict | None = No
     return None, None
 
 
+def epsilon_witness(spec: iv.GroupSpec, v, order: int, value: int, least: iv.Polynomial):
+    """The witness epsilon's contract names at the fixed point v for the value
+    ``value``: where it is |G|_p, the p-power reduction of the orbit norm of
+    x_i, i the first nonzero coordinate of v; elsewhere ``least``, the
+    separating basis element with the least leading monomial."""
+    if value != p_part(order, int(spec.p)):
+        return least
+    i = int(np.flatnonzero(v)[0])
+    norm = iv.orbit_norm(spec, iv.Polynomial.variable(spec.p, spec.n, i))
+    return iv.reduce_degree(spec, norm, v).f_tilde
+
+
 def p_part(order: int, p: int) -> int:
     """The largest power of p dividing order."""
     q = 1

@@ -295,6 +295,15 @@ def test_lucas_b_above_a(capsys):
     assert report["result"]["value"] == 0
 
 
+def test_lucas_huge_prime_finishes_promptly():
+    # 10^18 + 3 is prime; trial division on it used to run until killed
+    proc = support.run_python(
+        "-m", "invred.cli", "lucas", "--a", "5", "--b", "2", "--p", "1000000000000000003", timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["value"] == 10
+
+
 # ---- delta --------------------------------------------------------------------
 
 

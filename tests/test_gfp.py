@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import nextprime
+from sympy import isprime, nextprime
 
 from invred import (
     DomainError,
@@ -28,6 +28,34 @@ def test_prime_accepts_primes():
 def test_prime_rejects_nonprimes(bad):
     with pytest.raises(DomainError):
         Prime(bad)
+
+
+def test_prime_agrees_with_sympy_below_10_5():
+    for n in range(2, 10**5):
+        try:
+            Prime(n)
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == isprime(n), n
+
+
+@pytest.mark.parametrize(
+    "bad", [561, 3215031751, 3825123056546413051, 318665857834031151167461]
+)
+def test_prime_rejects_carmichael_and_strong_pseudoprimes(bad):
+    # 561 is a Carmichael number; the others are the least strong
+    # pseudoprimes to the bases 2, 3, 5, 7, to the first nine prime bases and
+    # to the first twelve (psi_12 = 399165290221 * 798330580441)
+    with pytest.raises(DomainError, match="not prime"):
+        Prime(bad)
+
+
+def test_prime_accepts_large_primes_and_refuses_beyond_exact_range():
+    for p in (10**18 + 3, 2**61 - 1, nextprime(3 * 10**24)):
+        assert Prime(p) == p
+    with pytest.raises(DomainError, match="too large"):
+        Prime(2**89 - 1)
 
 
 def test_field_element_reduces_on_construction():

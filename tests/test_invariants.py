@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from invred import (
     DomainError,
     FixedSpaceLimitError,
     GroupSpec,
+    GroupTooLargeError,
     MatrixGFp,
     Polynomial,
     Prime,
@@ -173,13 +175,22 @@ def built_levels(monkeypatch):
 
 
 def test_slice_limit_guard_runs_at_every_search_degree(monkeypatch, built_levels):
-    # epsilon at this fixed point eliminates only at degrees 1, 2 and 4, yet
-    # degree 3 (dimension 20) is refused before any of its levels is built
+    # |G| = 4, so epsilon at this fixed point eliminates only at degrees 1
+    # and 2 (dimension 10), then refuses the degree-4 witness (dimension 35)
+    # before building it
     built = built_levels
     monkeypatch.setenv("INVRED_SLICE_LIMIT", "15")
-    with pytest.raises(SliceLimitError, match="slice dimension 20 at degree 3 exceeds limit 15"):
+    with pytest.raises(SliceLimitError, match="slice dimension 35 at degree 4 exceeds limit 15"):
         epsilon(example_action(2, 2, 0), [0, 0, 0, 1])
     assert max(built) == 10
+
+
+def test_epsilon_at_a_fixed_point_stops_below_the_p_part(built_levels):
+    # |G| = 9 = |G|_p: epsilon eliminates at degrees 1 and 3 only and builds
+    # the degree-9 witness from the orbit, not from a slice level
+    res = epsilon(example_action(3, 3, 0), [0, 0, 0, 0, 0, 1])
+    assert res.value == 9
+    assert max(built_levels) == slice_dimension(6, 3) == 56
 
 
 def _entry_point(name):
@@ -265,6 +276,22 @@ def test_epsilon_bound_can_be_too_small():
     assert res.searched_bound == 3
 
 
+def test_epsilon_bound_at_a_fixed_point_of_a_group_over_the_cap(monkeypatch, built_levels):
+    # with the group over the enumeration cap there is no |G|_p to stop at:
+    # an explicit bound still answers by walking its powers of p, here up to
+    # degree 4 (dimension 35); without a bound there is no |G| to search to
+    spec, v = example_action(2, 2, 0), [0, 0, 0, 1]
+    monkeypatch.setattr(
+        "invred.invariants.enumerate_group", functools.partial(enumerate_group, cap=2)
+    )
+    res = epsilon(spec, v, bound=5)
+    assert (res.value, res.witness) == support.full_walk_epsilon(spec, v, 5)
+    assert res.value == 4 and max(built_levels) == 35
+    assert epsilon(spec, v, bound=3).value is None
+    with pytest.raises(GroupTooLargeError):
+        epsilon(spec, v)
+
+
 def test_epsilon_witness_properties():
     rng = random.Random(13)
     for _ in range(8):
@@ -282,9 +309,11 @@ def test_epsilon_witness_properties():
         # no earlier degree separates
         for d in range(1, res.value):
             assert all(not b.evaluate(v) for b in invariant_basis(spec, d).basis)
-        # the witness is the separating basis element with the least leading monomial
+        # the witness is the reduced orbit norm where epsilon = |G|_p, else the
+        # separating basis element with the least leading monomial
         separating = [b for b in invariant_basis(spec, res.value).basis if b.evaluate(v)]
-        assert w == min(separating, key=lambda b: b.leading_monomial())
+        least = min(separating, key=lambda b: b.leading_monomial())
+        assert w == support.epsilon_witness(spec, v, order, res.value, least)
 
 
 def test_epsilon_scaling_invariance():
@@ -316,7 +345,8 @@ def test_epsilon_power_law_on_fixed_points():
         assert support.is_p_power(walked, p)
         assert walked <= support.p_part(order, p)
         res = epsilon(spec, v, bound=order)
-        assert (res.value, res.witness) == (walked, witness)
+        assert res.value == walked
+        assert res.witness == support.epsilon_witness(spec, v, order, walked, witness)
 
 
 def test_epsilon_at_a_non_fixed_point_walks_every_degree():

@@ -1,12 +1,16 @@
-"""act, substitute and invariant bases checked by sympy, not by invred itself.
+"""act, substitute, invariant bases and epsilon witnesses checked by sympy
+and by definition, not by invred itself.
 
 Composition is done by sympy: x_i is replaced by sum_j M[i][j] x_j in an
 expression and the result read back as ``Poly(..., modulus=p)``; inverses
 come from sympy's ``Matrix.inv_mod``.
 """
 
+import itertools
 import random
 
+import numpy as np
+import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -17,8 +21,13 @@ from invred import (
     MatrixGFp,
     Polynomial,
     act,
+    enumerate_fixed_points,
+    enumerate_group,
+    epsilon,
     example_action,
+    factor_p_power,
     invariant_basis,
+    invariants,
 )
 
 
@@ -96,6 +105,56 @@ def test_invariant_basis_is_invariant_on_random_groups():
         for degree in range(1, 5):
             total += assert_basis_invariant(spec, degree)
     assert total > 0
+
+
+def assert_invariant_by_sympy(spec: GroupSpec, f: Polynomial) -> None:
+    for g in spec.generators:
+        assert sympy_compose(f, sympy_inverse(g)) == terms_of(f)
+
+
+def symmetric_group(p: int, n: int) -> GroupSpec:
+    """S_n permuting the coordinates of GF(p)^n, by a transposition and an n-cycle."""
+    eye = np.eye(n, dtype=np.int64)
+    return GroupSpec(p, n, (MatrixGFp(eye[[1, 0, *range(2, n)]], p), MatrixGFp(np.roll(eye, 1, 0), p)))
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 4), (3, 3), (5, 3)])
+def test_norm_witness_on_symmetric_groups(p, n):
+    # |S_n| = q*d with d > 1 in every case but S_3 over GF(5), where p does
+    # not divide |G| and the witness is linear
+    spec = symmetric_group(p, n)
+    group = enumerate_group(spec)
+    fact = factor_p_power(group.order, p)
+    q = p**fact.r
+    for v in enumerate_fixed_points(spec):
+        w = invariants._norm_witness(group, v, spec.p, fact)
+        assert w.is_homogeneous() and w.degree() == q
+        assert w.evaluate(v).residue == 1
+        assert_invariant_by_sympy(spec, w)
+
+
+def test_epsilon_at_fixed_points_matches_full_walk_and_sympy():
+    rng = random.Random(83)
+    groups = [symmetric_group(3, 3), symmetric_group(3, 4)]
+    while len(groups) < 14:
+        p = rng.choice((2, 3))
+        groups.append(support.random_small_group(rng, p, rng.randrange(2, 4), 27)[0])
+    seen = set()  # (p divides |G|, |G| > |G|_p) where epsilon = |G|_p
+    for spec in groups:
+        p, order = int(spec.p), enumerate_group(spec).order
+        q = support.p_part(order, p)
+        bases = {}
+        for v in itertools.islice(enumerate_fixed_points(spec), 4):
+            res = epsilon(spec, v)
+            walked, _ = support.full_walk_epsilon(spec, v, order, bases)
+            assert res.value == walked <= q
+            assert res.witness.is_homogeneous() and res.witness.degree() == res.value
+            assert res.witness.evaluate(v)
+            assert_invariant_by_sympy(spec, res.witness)
+            if res.value == q:
+                seen.add((q > 1, order > q))
+    # no elimination (p does not divide |G|), a p-group, and a truncation (d > 1)
+    assert {(False, True), (True, False), (True, True)} <= seen
 
 
 def matrices(p, n):

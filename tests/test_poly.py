@@ -154,25 +154,6 @@ def test_evaluate_shape_error():
 # ---- graded structure ------------------------------------------------------
 
 
-def test_homogeneous_component_examples():
-    f = Polynomial(5, 2, {(2, 0): 1, (0, 1): 1})
-    assert f.homogeneous_component(2) == Polynomial(5, 2, {(2, 0): 1})
-    g = Polynomial(5, 2, {(2, 0): 1, (1, 1): 4})
-    assert g.homogeneous_component(2) == g
-    assert f.homogeneous_component(3).is_zero
-
-
-def test_homogeneous_parts_cover_polynomial():
-    rng = random.Random(7)
-    f = support.random_polynomial(rng, 5, 3, 5, max_terms=10)
-    parts = f.homogeneous_parts()
-    total = Polynomial.zero(5, 3)
-    for d, comp in parts.items():
-        assert comp.is_homogeneous() and comp.degree() == d
-        total = total + comp
-    assert total == f
-
-
 def test_degree_and_homogeneity():
     assert Polynomial.zero(3, 2).degree() is None
     assert Polynomial.one(3, 2).degree() == 0
