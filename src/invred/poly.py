@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import comb
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -189,6 +190,84 @@ def slice_images(subst: np.ndarray, degree: int, p: Prime) -> _kernels.CSR:
     return level
 
 
+# Every monomial key that substitute and * return, stored once: equal
+# monomials in different results are the same tuple object. The table only
+# grows, by one tuple per distinct monomial; dict.setdefault is one atomic
+# step, so threads interning the same monomial get the same tuple.
+_MONOMIALS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _mul_into(acc: dict, a: Mapping, b: Mapping, cap: int | None = None) -> None:
+    """Add the product of the term dicts a and b into acc, coefficients unreduced.
+
+    With ``cap``, a product whose degree outside x0 exceeds cap is skipped;
+    that degree only grows along a product, so no kept term depends on it.
+    """
+    get = acc.get
+    if cap is None:
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                k = tuple(map(add, ka, kb))
+                acc[k] = get(k, 0) + va * vb
+        return
+    rest_b = [(kb, vb, sum(kb) - kb[0]) for kb, vb in b.items()]
+    for ka, va in a.items():
+        room = cap - sum(ka) + ka[0]
+        for kb, vb, rb in rest_b:
+            if rb <= room:
+                k = tuple(map(add, ka, kb))
+                acc[k] = get(k, 0) + va * vb
+
+
+def _reduced(acc: dict, p: int) -> dict:
+    return {k: r for k, v in acc.items() if (r := v % p)}
+
+
+def _interned(acc: dict, p: int) -> dict:
+    """The reduced terms of acc, keyed by the shared monomial tuples."""
+    intern = _MONOMIALS.setdefault
+    return {intern(k, k): r for k, v in acc.items() if (r := v % p)}
+
+
+def _power(cache: list, e: int, p: int, cap: int | None) -> dict:
+    """The e-th power of one image; ``cache`` = [1, image, image^2, ...]
+    grows by one product per missing power."""
+    while len(cache) <= e:
+        acc: dict = {}
+        _mul_into(acc, cache[-1], cache[1], cap)
+        cache.append(_reduced(acc, p))
+    return cache[e]
+
+
+def _expand(items: list, i: int, powers: list, p: int, cap: int | None) -> dict:
+    """Unreduced terms of sum c * prod_(j >= i) image_j^(e_j) over the
+    (e, c) in ``items``: split by e_i, expand each part in the later images,
+    then multiply it by one power of image_i."""
+    acc: dict = {}
+    if i == len(powers) - 1:
+        get = acc.get
+        for exps, c in items:
+            for k, v in _power(powers[i], exps[i], p, cap).items():
+                acc[k] = get(k, 0) + c * v
+        return acc
+    parts: dict[int, list] = {}
+    for item in items:
+        parts.setdefault(item[0][i], []).append(item)
+    for e, part in parts.items():
+        inner = _reduced(_expand(part, i + 1, powers, p, cap), p)
+        _mul_into(acc, _power(powers[i], e, p, cap), inner, cap)
+    return acc
+
+
+def _substitute_terms(terms: Mapping, rows: list, p: int, cap: int | None) -> dict:
+    """Unreduced terms of f(M x), f given by ``terms`` and M by its rows;
+    ``cap`` prunes as in ``_mul_into``."""
+    n = len(rows)
+    units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+    powers = [[{(0,) * n: 1}, {units[j]: c for j, c in enumerate(row) if c}] for row in rows]
+    return _expand(list(terms.items()), 0, powers, p, cap)
+
+
 def _as_residue(c, p: Prime) -> int:
     if isinstance(c, FieldElement):
         if c.p != p:
@@ -201,7 +280,9 @@ class Polynomial:
     """Sparse polynomial over GF(p); ``terms`` maps exponent tuples to residues.
 
     Instances are treated as immutable; all operations return new objects.
-    Zero coefficients are never stored.
+    Zero coefficients are never stored. The results of ``substitute`` and
+    ``*`` take their monomial keys from one table, so an equal monomial is
+    the same tuple object in all of them.
     """
 
     __slots__ = ("p", "nvars", "terms")
@@ -303,17 +384,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        p = self.p
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                r = (out.get(key, 0) + c1 * c2) % p
-                if r:
-                    out[key] = r
-                else:
-                    out.pop(key, None)
-        return self._wrap(out)
+        acc: dict[tuple[int, ...], int] = {}
+        _mul_into(acc, self.terms, other.terms)
+        return self._wrap(_interned(acc, self.p))
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -407,13 +480,16 @@ class Polynomial:
             total = (total + t) % p
         return FieldElement(total, p)
 
-    def substitute(self, matrix) -> "Polynomial":
+    def substitute(self, matrix, *, max_rest_degree: int | None = None) -> "Polynomial":
         """Linear change of variables: x_i is replaced by sum_j M[i][j]*x_j.
 
         Row i of the matrix is the image of x_i. Composing substitutions
         multiplies the matrices: f.substitute(M).substitute(N) equals
         f.substitute(M @ N mod p), and evaluating satisfies
         f.substitute(M).evaluate(v) == f.evaluate(M @ v mod p).
+
+        With ``max_rest_degree`` = k only the terms of degree at most k in
+        x1..x_(n-1) are computed; every partial product above k is pruned.
         """
         p = self.p
         n = self.nvars
@@ -423,24 +499,8 @@ class Polynomial:
                 f"substitution matrix has shape {m.shape}, expected {(n, n)}"
             )
         check_slice_limit(n, self.degree() or 0)
-        images = [
-            Polynomial(p, n, {tuple(int(j == k) for k in range(n)): int(m[i, j]) for j in range(n)})
-            for i in range(n)
-        ]
-        # cache powers of each variable image up to the largest exponent used
-        powers: list[list[Polynomial]] = [[Polynomial.one(p, n)] for _ in range(n)]
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * images[i])
-        out = Polynomial.zero(p, n)
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(p, n, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * powers[i][e]
-            out = out + term
-        return out
+        acc = _substitute_terms(self.terms, m.tolist(), int(p), max_rest_degree)
+        return self._wrap(_interned(acc, p))
 
     def coordinates(self, degree: int) -> np.ndarray:
         """Coefficient vector over the descending graded-lex slice basis."""

@@ -96,11 +96,18 @@ def adapted_decomposition(f: Polynomial, basis_change: MatrixGFp, degree: int) -
     """
     if f.is_zero or not f.is_homogeneous() or f.degree() != degree:
         raise DomainError(f"polynomial is not homogeneous of degree {degree}")
-    adapted = f.substitute(basis_change.entries)
-    parts = [dict() for _ in range(degree + 1)]
+    return _leading_layers(f, basis_change, degree, degree)
+
+
+def _leading_layers(
+    f: Polynomial, basis_change: MatrixGFp, degree: int, top: int
+) -> list[Polynomial]:
+    """c_0..c_top of adapted_decomposition; the substitution computes no
+    term of degree above top outside x0."""
+    adapted = f.substitute(basis_change.entries, max_rest_degree=top)
+    parts = [dict() for _ in range(top + 1)]
     for exps, c in adapted.terms.items():
-        i = degree - exps[0]
-        parts[i][(0,) + exps[1:]] = c
+        parts[degree - exps[0]][(0,) + exps[1:]] = c
     return [Polynomial(f.p, f.nvars, part) for part in parts]
 
 
@@ -153,18 +160,15 @@ def reduce_degree(spec: GroupSpec, f: Polynomial, v: Sequence) -> ReductionResul
     fact = factor_p_power(degree, p)
     q = int(p) ** fact.r
     basis_change = extend_to_basis(vec, p)
-    cs = adapted_decomposition(f, basis_change, degree)
 
     scale = value.inverse()
-    c_list = tuple(cs[i].scale(scale) for i in range(q + 1))
+    c_list = tuple(c.scale(scale) for c in _leading_layers(f, basis_change, degree, q))
     d_inv = FieldElement(fact.d, p).inverse()
-    reduced = Polynomial.monomial(p, n, (q,) + (0,) * (n - 1))
+    reduced = {(q,) + (0,) * (n - 1): 1}
     for i in range(1, q + 1):
-        if c_list[i].is_zero:
-            continue
-        shift = Polynomial.monomial(p, n, (q - i,) + (0,) * (n - 1), d_inv)
-        reduced = reduced + shift * c_list[i]
-    f_tilde = reduced.substitute(basis_change.inv().entries)
+        for exps, c in c_list[i].scale(d_inv).terms.items():
+            reduced[(q - i,) + exps[1:]] = c
+    f_tilde = Polynomial(p, n, reduced).substitute(basis_change.inv().entries)
 
     if f_tilde.is_zero or not f_tilde.is_homogeneous() or f_tilde.degree() != q:
         raise InternalConsistencyError(

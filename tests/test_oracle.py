@@ -52,14 +52,67 @@ def terms_of(f: Polynomial) -> dict:
     return {exps: int(c) for exps, c in f.terms.items() if int(c)}
 
 
+def sympy_product(f: Polynomial, g: Polynomial) -> dict:
+    """Terms of f*g, multiplied by sympy."""
+    p, n = int(f.p), f.nvars
+    xs = sympy.symbols(f"x0:{n}")
+    product = sympy.Poly(dict(f.terms), *xs, modulus=p) * sympy.Poly(dict(g.terms), *xs, modulus=p)
+    return {exps: int(c) % p for exps, c in product.terms() if int(c) % p}
+
+
+ORACLE_PRIMES = (2, 3, 5, 1048573)
+
+
 def test_substitute_matches_sympy_composition():
+    # inhomogeneous polynomials up to degree 20; every third matrix in two or
+    # three variables is made singular by repeating a row, so each prime sees
+    # singular substitutions
     rng = random.Random(71)
-    for _ in range(40):
-        p = rng.choice((2, 3, 5, 7))
+    for case in range(48):
+        p = ORACLE_PRIMES[case % len(ORACLE_PRIMES)]
         n = rng.randrange(1, 4)
-        f = support.random_polynomial(rng, p, n, 5)
-        m = support.random_matrix(rng, p, n)  # singular ones included
-        assert terms_of(f.substitute(m.entries)) == sympy_compose(f, m.entries.tolist())
+        f = support.random_polynomial(rng, p, n, rng.choice((5, 12, 20)))
+        m = support.random_matrix(rng, p, n).entries.tolist()
+        if case % 3 == 0:
+            m[-1] = list(m[0])
+        assert terms_of(f.substitute(m)) == sympy_compose(f, m)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_substitute_cancels_binomial_terms(p):
+    # (x0 + x1)^p = x0^p + x1^p: every middle binomial term cancels
+    x0_p = Polynomial.monomial(p, 2, (p, 0))
+    shear = [[1, 1], [0, 1]]
+    assert x0_p.substitute(shear).terms == {(p, 0): 1, (0, p): 1} == sympy_compose(x0_p, shear)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_substitute_cancels_to_zero(p):
+    # x0 - x1 vanishes once both variables are sent to x0
+    diff = Polynomial(p, 2, {(1, 0): 1, (0, 1): p - 1}) * Polynomial.monomial(p, 2, (3, 2))
+    assert diff.substitute([[1, 0], [1, 0]]).is_zero
+    assert sympy_compose(diff, [[1, 0], [1, 0]]) == {}
+
+
+def test_mul_matches_sympy_product():
+    rng = random.Random(72)
+    for case in range(48):
+        p = ORACLE_PRIMES[case % len(ORACLE_PRIMES)]
+        n = rng.randrange(1, 4)
+        f = support.random_polynomial(rng, p, n, rng.choice((5, 10)))
+        g = support.random_polynomial(rng, p, n, rng.choice((5, 10)))
+        assert terms_of(f * g) == sympy_product(f, g)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_mul_cancels_to_frobenius_and_zero(p):
+    x0_plus_x1 = Polynomial(p, 2, {(1, 0): 1, (0, 1): 1})
+    power = Polynomial.one(p, 2)
+    for _ in range(p):
+        power = power * x0_plus_x1
+    assert power.terms == {(p, 0): 1, (0, p): 1} == sympy_product(x0_plus_x1 ** (p - 1), x0_plus_x1)
+    minus = Polynomial(p, 2, {(1, 0): p - 1, (0, 1): p - 1})
+    assert (x0_plus_x1 * minus + x0_plus_x1 * x0_plus_x1).is_zero
 
 
 def test_act_matches_sympy_composition():

@@ -231,6 +231,57 @@ def test_substitute_shape_errors():
         f.substitute(np.ones((2, 3), dtype=np.int64))
 
 
+def test_substitute_truncated_keeps_the_low_terms_outside_x0():
+    rng = random.Random(29)
+    for p in (2, 3, 5):
+        for _ in range(10):
+            n = rng.randrange(1, 4)
+            f = support.random_polynomial(rng, p, n, 9)
+            m = support.random_matrix(rng, p, n)
+            k = rng.randrange(0, 6)
+            full = f.substitute(m.entries).terms
+            low = {e: c for e, c in full.items() if sum(e) - e[0] <= k}
+            assert f.substitute(m.entries, max_rest_degree=k).terms == low
+
+
+def test_results_share_their_monomial_tuples():
+    rng = random.Random(31)
+    f = Polynomial(3, 3, {m.exponents: 1 + rng.randrange(2) for m in monomial_basis(3, 4)})
+    g = Polynomial(3, 3, {m.exponents: 1 + rng.randrange(2) for m in monomial_basis(3, 2)})
+    substituted = f.substitute(support.random_invertible(rng, 3, 3).entries)
+    multiplied = g * g
+    for h in (substituted, multiplied):
+        for exps, c in h.terms.items():
+            assert type(exps) is tuple and all(type(e) is int for e in exps)
+            assert 0 < c < 3
+    keys = {k: k for k in substituted.terms}
+    common = [k for k in multiplied.terms if k in keys]
+    assert common
+    assert all(keys[k] is k for k in common)
+
+
+@pytest.mark.parametrize("build", ["substitute", "mul"])
+def test_one_polynomial_built_per_call(monkeypatch, build):
+    rng = random.Random(37)
+    f = support.random_polynomial(rng, 3, 3, 8, max_terms=12)
+    m = support.random_invertible(rng, 3, 3).entries
+    built = []
+    init, wrap = Polynomial.__init__, Polynomial._wrap
+
+    def counting_init(self, *args, **kwargs):
+        built.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counting_wrap(self, terms):
+        built.append("_wrap")
+        return wrap(self, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    monkeypatch.setattr(Polynomial, "_wrap", counting_wrap)
+    f.substitute(m) if build == "substitute" else f * f
+    assert len(built) == 1
+
+
 # ---- slice coordinates and formatting --------------------------------------
 
 

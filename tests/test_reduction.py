@@ -9,6 +9,7 @@ from invred import (
     _kernels,
     DegreeFactorization,
     DomainError,
+    FieldElement,
     GroupSpec,
     MatrixGFp,
     Polynomial,
@@ -253,6 +254,46 @@ def test_reduce_reports_its_factorization():
         res = reduce_degree(spec, f, v)
         assert res.factorization == factor_p_power(f.degree(), spec.p)
         assert res.f_tilde.degree() == int(spec.p) ** res.factorization.r
+
+
+def full_expansion_reduction(spec, f, v):
+    """c_list and f_tilde from the whole adapted expansion, reassembled with
+    polynomial products: the route reduce_degree's truncation must match."""
+    p, n, degree = spec.p, spec.n, f.degree()
+    fact = factor_p_power(degree, p)
+    q = int(p) ** fact.r
+    b = extend_to_basis(v, p)
+    scale = f.evaluate(v).inverse()
+    c_list = [c.scale(scale) for c in adapted_decomposition(f, b, degree)[: q + 1]]
+    d_inv = FieldElement(fact.d, p).inverse()
+    reduced = Polynomial.monomial(p, n, (q,) + (0,) * (n - 1))
+    for i in range(1, q + 1):
+        reduced = reduced + Polynomial.monomial(p, n, (q - i,) + (0,) * (n - 1), d_inv) * c_list[i]
+    return c_list, reduced.substitute(b.inv().entries)
+
+
+def test_truncated_expansion_matches_the_full_one():
+    # degree p^r*d with d in {3, 5}, on every (p, n, d) of the reduce_batch shape
+    rng = random.Random(41)
+    stream = support.spec_stream(43, max_order=9)
+    wanted = {(p, n, d) for p in (2, 3) for n in (2, 3) for d in (3, 5) if d % p}
+    seen, checked = set(), 0
+    for _ in range(400):
+        spec, order = next(stream)
+        key = (int(spec.p), spec.n)
+        trial = support.reduction_trial(rng, spec, order, ds=(3, 5))
+        if trial is None:
+            continue
+        v, r, d, f = trial
+        res = reduce_degree(spec, f, v)
+        c_list, f_tilde = full_expansion_reduction(spec, f, v)
+        assert list(res.c_list) == c_list
+        assert res.f_tilde == f_tilde
+        seen.add(key + (d,))
+        checked += 1
+        if seen == wanted and checked >= 24:
+            break
+    assert seen == wanted and checked >= 24
 
 
 def test_reduce_checks_slice_limit_before_evaluating(monkeypatch):
