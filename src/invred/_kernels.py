@@ -103,7 +103,9 @@ def _nullspace_in_place(m: np.ndarray, p: int) -> np.ndarray:
     """``nullspace_mod`` of a C-ordered int64 matrix of residues that the
     caller gives up: ``m`` is overwritten by its RREF instead of copied."""
     piv = _rref_in_place(m, p)
-    free = np.setdiff1d(np.arange(m.shape[1]), piv)
+    is_free = np.ones(m.shape[1], dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, piv] = -m[: len(piv), free].T % p

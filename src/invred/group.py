@@ -102,7 +102,9 @@ class MatrixGFp:
         return result
 
     def inv(self) -> "MatrixGFp":
-        """Exact inverse via Gauss-Jordan on [A | I]; cached after first use."""
+        """Exact inverse via Gauss-Jordan on [A | I]; cached on this matrix
+        after first use. The inverse does not point back, so no reference
+        cycle is formed and both are freed by reference counting."""
         if self._inv is not None:
             return self._inv
         n, p = self.n, self.p
@@ -112,7 +114,6 @@ class MatrixGFp:
             raise SingularMatrixError(f"matrix is singular over GF({p})")
         result = MatrixGFp(rref[:, n:], p)
         object.__setattr__(self, "_inv", result)
-        object.__setattr__(result, "_inv", self)
         return result
 
     def is_invertible(self) -> bool:

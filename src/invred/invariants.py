@@ -21,9 +21,11 @@ p^r*d, d coprime to p, that is nonzero at a fixed point yields one of degree
 p^r that is too, so there epsilon is a power of p; applied to the orbit norm
 it gives epsilon <= |G|_p, the p-part of |G|. So at fixed points only the
 degrees 1, p, ..., |G|_p/p are eliminated, and every point still unresolved
-has epsilon = |G|_p, with the reduced orbit norm as its witness. That witness
-is built from the orbit's elementary symmetric functions up to degree |G|_p,
-never from the norm itself (see _norm_witness).
+has epsilon = |G|_p, with the reduced orbit norm as its witness. By Lucas'
+theorem that witness is e_q(G.x_i) / (d * v_i^q), the q-th elementary
+symmetric function of the orbit forms g.x_i with q = |G|_p and |G| = q*d, i the
+first nonzero coordinate of v: it is built from the orbit alone, with no basis
+change and without forming the norm (see _norm_witness).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .group import (
     GroupElements, GroupSpec, MatrixGFp, act, as_vector, enumerate_group, fixed_space, fixes,
 )
 from .poly import Polynomial, check_slice_limit, parent_table, slice_images, slice_levels
-from .reduction import DegreeFactorization, extend_to_basis, factor_p_power
+from .reduction import DegreeFactorization, factor_p_power
 
 __all__ = [
     "DegreeSliceBasis",
@@ -126,11 +128,12 @@ class EpsilonResult:
     or non-fixed query points.
 
     ``witness`` is homogeneous of degree ``value``, invariant and nonzero at
-    the point. At a fixed point with value |G|_p it is the p-power reduction
-    of the orbit norm of x_i, i the point's first nonzero coordinate, equal
-    to ``reduce_degree(spec, orbit_norm(spec, x_i), v).f_tilde``. Otherwise it
-    is the separating element of ``invariant_basis(spec, value)`` with the
-    least leading monomial, the earliest on ties.
+    the point. At a fixed point with value q = |G|_p it is the p-power
+    reduction of the orbit norm of x_i, i the point's first nonzero
+    coordinate, equal to ``reduce_degree(spec, orbit_norm(spec, x_i), v).f_tilde``
+    and built as e_q(G.x_i) / (d * v_i^q), |G| = q*d, with no basis change.
+    Otherwise it is the separating element of ``invariant_basis(spec, value)``
+    with the least leading monomial, the earliest on ties.
     """
 
     value: int | None
@@ -214,36 +217,33 @@ def _norm_witness(
     group: GroupElements, v: np.ndarray, p: Prime, fact: DegreeFactorization
 ) -> Polynomial:
     """The p-power reduction of the orbit norm N of x_i at the fixed point v,
-    i the first nonzero coordinate of v, built without forming N.
+    i the first nonzero coordinate of v: e_q(G.x_i) / (d * v_i^q), where e_q
+    is the q-th elementary symmetric function of the |G| forms g.x_i and
+    ``fact`` splits |G| as q*d, q = |G|_p.
 
-    With a = v_i and lambda the first dual coordinate of extend_to_basis(v),
-    so lambda(v) = 1, each g.x_i is a*lambda + L_g with L_g(v) = 0, because v
-    is fixed. So N = sum_k a^(|G|-k) lambda^(|G|-k) e_k, e_k the elementary
-    symmetric functions of the L_g, and the reduction keeps k <= q = |G|_p:
+    With a = v_i and lambda a linear form with lambda(v) = 1, each g.x_i is
+    a*lambda + L_g with L_g(v) = 0, as v is fixed, and reduce_degree keeps
 
-        lambda^q + (1/d) * sum_{k=1..q} a^(-k) lambda^(q-k) e_k,   |G| = q*d,
+        lambda^q + (1/d) * sum_{k=1..q} a^(-k) lambda^(q-k) e_k(L).
 
-    which equals reduce_degree(spec, N, v).f_tilde; ``fact`` splits |G| as
-    q*d. The e_k come from the product of (1 + t*L_g) over the group
-    truncated at t^q, |G|*q products of degree at most q.
+    Writing e_k(L) in the e_j of the forms themselves, e_j for 0 < j <= q
+    carries (1/d) a^(-j) lambda^(q-j) (-1)^(q-j) C(|G|-j-1, q-j), which by
+    Lucas' theorem is 0 mod p below q and 1 at q; lambda^q carries
+    1 + ((-1)^q C(|G|-1, q) - 1)/d = 1 + (-d)/d = 0. So neither lambda nor a
+    basis change enters the result. e_q comes from the product of
+    (1 + t*g.x_i) over the group truncated at t^q: |G|*q products of degree
+    at most q.
     """
     n = len(v)
     q = p**fact.r
     i = int(np.flatnonzero(v)[0])
-    a = FieldElement(int(v[i]), p)
-    lam = Polynomial.from_coordinates(p, n, 1, extend_to_basis(v, p).inv().entries[0])
     e = [Polynomial.one(p, n)] + [Polynomial.zero(p, n)] * q
     for g in group:
         # g.x_i is row i of g^-1; over the whole group the rows of g are the same multiset
-        shift = Polynomial.from_coordinates(p, n, 1, g.entries[i]) - lam.scale(a)
+        form = Polynomial.from_coordinates(p, n, 1, g.entries[i])
         for k in range(q, 0, -1):
-            e[k] = e[k] + e[k - 1] * shift
-    # Horner in lambda: one product by a linear form per k
-    d_inv, a_inv = FieldElement(fact.d, p).inverse(), a.inverse()
-    witness = e[0]
-    for k in range(1, q + 1):
-        witness = witness * lam + e[k].scale(d_inv * a_inv**k)
-    return witness
+            e[k] = e[k] + e[k - 1] * form
+    return e[q].scale((FieldElement(fact.d, p) * FieldElement(int(v[i]), p) ** q).inverse())
 
 
 def epsilon(spec: GroupSpec, v: Sequence, bound: int | None = None) -> EpsilonResult:

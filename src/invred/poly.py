@@ -231,7 +231,13 @@ def _interned(acc: dict, p: int) -> dict:
 
 def _power(cache: list, e: int, p: int, cap: int | None) -> dict:
     """The e-th power of one image; ``cache`` = [1, image, image^2, ...]
-    grows by one product per missing power."""
+    grows by one product per missing power. A one-term image c*m gives
+    c^e * m^e at once, or nothing when its degree outside x0 exceeds cap."""
+    if len(cache[1]) == 1:
+        ((m, c),) = cache[1].items()
+        if cap is not None and e * (sum(m) - m[0]) > cap:
+            return {}
+        return {tuple(e * k for k in m): pow(c, e, p)}
     while len(cache) <= e:
         acc: dict = {}
         _mul_into(acc, cache[-1], cache[1], cap)

@@ -151,6 +151,25 @@ def test_lucas_huge_arguments():
     assert lucas_binomial(a, 5**40, p).residue == math.comb(3, 1) % 5
 
 
+def test_lucas_coefficients_of_the_norm_witness():
+    # Writing the reduced orbit norm in the e_j of the orbit forms, e_j carries
+    # (-1)^(q-j) * C(qd - j - 1, q - j) for 0 < j <= q and lambda^q carries
+    # 1 + ((-1)^q * C(qd - 1, q) - 1) / d, |G| = qd: the first is 0 mod p
+    # below q and the second is 0, which leaves e_q / (d * v_i^q).
+    for p in (2, 3, 5, 7):
+        for r in range(4):
+            q = p**r
+            for d in range(1, 13):
+                if d % p == 0:
+                    continue
+                for j in range(1, q):
+                    assert lucas_binomial(q * d - j - 1, q - j, p).residue == 0
+                    assert math.comb(q * d - j - 1, q - j) % p == 0
+                top = lucas_binomial(q * d - 1, q, p).residue
+                assert ((-1) ** q * top - 1 + d) % p == 0
+                assert ((-1) ** q * math.comb(q * d - 1, q) - 1 + d) % p == 0
+
+
 def test_congruence_examples():
     assert binomial_congruence_holds(3, 1, 2, 1, 2)
     assert binomial_congruence_holds(2, 0, 17, 1, 0)

@@ -67,6 +67,19 @@ def test_nullspace_bruteforce_oracle():
             assert count == p ** len(basis)
 
 
+def test_nullspace_and_delta_leave_numpy_ma_unimported():
+    # np.setdiff1d goes through np.unique, which imports numpy.ma (about
+    # 1.3 MB resident) on first use; the free columns come from a mask instead
+    code = (
+        "import sys, invred as iv; "
+        "iv.delta_over_fixed_points(iv.example_action(3, 2, 1)); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = support.run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_public_kernels_leave_their_input_unchanged():
     # already int64, C-ordered and reduced, which a shortcut that skipped the
     # copy would accept as is; and far from its own RREF

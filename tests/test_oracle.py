@@ -28,6 +28,8 @@ from invred import (
     factor_p_power,
     invariant_basis,
     invariants,
+    orbit_norm,
+    reduce_degree,
 )
 
 
@@ -184,6 +186,38 @@ def test_norm_witness_on_symmetric_groups(p, n):
         assert w.is_homogeneous() and w.degree() == q
         assert w.evaluate(v).residue == 1
         assert_invariant_by_sympy(spec, w)
+
+
+CONTRACT_SPECS = {
+    "S3-GF2": symmetric_group(2, 3),  # d = 3, epsilon = 1 < q
+    "S4-GF3": symmetric_group(3, 4),  # d = 8, epsilon = 1 < q
+    "S3-GF3": symmetric_group(3, 3),  # d = 2, epsilon = q = 3
+    "S3-GF5": symmetric_group(5, 3),  # p does not divide |G|: q = 1
+    **{f"family-3-2-{lam}": example_action(3, 2, lam) for lam in range(3)},  # d = 1, q = 9
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_SPECS))
+def test_norm_witness_is_the_reduced_orbit_norm(name):
+    # the EpsilonResult contract: where epsilon = q = |G|_p the witness is
+    # reduce_degree(spec, orbit_norm(spec, x_i), v).f_tilde; _norm_witness is
+    # held to it at every fixed point, epsilon where its value is q
+    spec = CONTRACT_SPECS[name]
+    group = enumerate_group(spec)
+    p = int(spec.p)
+    fact = factor_p_power(group.order, p)
+    q = p**fact.r
+    at_q = 0
+    for v in enumerate_fixed_points(spec):
+        i = int(np.flatnonzero(v)[0])
+        norm = orbit_norm(spec, Polynomial.variable(p, spec.n, i))
+        reduced = reduce_degree(spec, norm, v).f_tilde
+        assert invariants._norm_witness(group, v, spec.p, fact) == reduced
+        res = epsilon(spec, v)
+        if res.value == q:
+            assert res.witness == reduced
+            at_q += 1
+    assert at_q > 0 or name in ("S3-GF2", "S4-GF3")
 
 
 def test_epsilon_at_fixed_points_matches_full_walk_and_sympy():

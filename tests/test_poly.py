@@ -244,6 +244,42 @@ def test_substitute_truncated_keeps_the_low_terms_outside_x0():
             assert f.substitute(m.entries, max_rest_degree=k).terms == low
 
 
+def test_substitute_by_one_term_images_matches_products():
+    # each row of a scaled permutation matrix has one term, whose powers
+    # substitute takes at once; * and ** build them one product at a time
+    rng = random.Random(41)
+    for p in (2, 3, 5):
+        for _ in range(10):
+            n = rng.randrange(1, 4)
+            f = support.random_polynomial(rng, p, n, 9)
+            perm = rng.sample(range(n), n)
+            m = [[(1 + rng.randrange(p - 1)) * (j == perm[i]) for j in range(n)] for i in range(n)]
+            images = [Polynomial(p, n, {tuple(int(x > 0) for x in row): max(row)}) for row in m]
+            expected = Polynomial.zero(p, n)
+            for exps, c in f.terms.items():
+                term = Polynomial.constant(p, n, c)
+                for image, e in zip(images, exps):
+                    term = term * image**e
+                expected = expected + term
+            assert f.substitute(m) == expected
+            k = rng.randrange(0, 6)
+            low = {e: c for e, c in expected.terms.items() if sum(e) - e[0] <= k}
+            assert f.substitute(m, max_rest_degree=k).terms == low
+
+
+@pytest.mark.parametrize("p, image", [(2, 1), (3, 2)])
+def test_substitute_in_one_variable_with_a_huge_exponent_returns_promptly(p, image):
+    # a one-variable slice has dimension 1, so no guard stops this; the power
+    # of a one-term image costs one modular exponentiation
+    code = (
+        f"import invred as iv; "
+        f"print(iv.Polynomial({p}, 1, {{(10**23,): 1}}).substitute([[{image}]]).terms)"
+    )
+    proc = support.run_python("-c", code, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str({(10**23,): pow(image, 10**23, p)})
+
+
 def test_results_share_their_monomial_tuples():
     rng = random.Random(31)
     f = Polynomial(3, 3, {m.exponents: 1 + rng.randrange(2) for m in monomial_basis(3, 4)})

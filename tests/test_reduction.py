@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 
@@ -189,6 +190,21 @@ def test_reduce_gf2_fixture():
     assert res.normalization.residue == 1
     assert [str(c) for c in res.c_list] == ["1", "x1", "x1^2"]
     assert res.basis_change == MatrixGFp.identity(2, 2)
+
+
+def test_reduce_leaves_no_matrix_to_the_cyclic_collector():
+    # a matrix and its cached inverse free each other by reference counting
+    spec, f, v = gf2_fixture()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        reduce_degree(spec, f, v)
+        gc.collect()
+        left = [obj for obj in gc.garbage if isinstance(obj, MatrixGFp)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_reduce_family_witness_d1_path():
