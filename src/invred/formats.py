@@ -7,7 +7,6 @@ Validation errors name the offending field by path, e.g.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any
@@ -141,6 +140,10 @@ def group_spec_json(spec: GroupSpec) -> dict:
 
 
 def digest_inputs(*chunks: str) -> str:
+    # imported here: hashlib loads OpenSSL's libcrypto, a few MB resident in
+    # every process that imports the CLI, and only reports need a digest
+    import hashlib
+
     h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk.encode())

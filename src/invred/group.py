@@ -237,7 +237,7 @@ def act(g: MatrixGFp, f: Polynomial) -> Polynomial:
         raise ShapeMismatchError(
             f"cannot act: {g.n}x{g.n} over GF({g.p}) on {f.nvars} vars over GF({f.p})"
         )
-    return f.substitute(g.inv().entries)
+    return f.substitute(g.inv())
 
 
 def fixed_space(spec: GroupSpec) -> list[np.ndarray]:

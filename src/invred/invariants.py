@@ -123,9 +123,12 @@ class EpsilonResult:
     """Outcome of the minimal separating-degree search.
 
     ``value`` is None when no invariant of degree 1..searched_bound is nonzero
-    at the query point; for a nonzero fixed point with a bound of at least
-    |G|_p that cannot happen, so None is only seen with explicit small bounds
-    or non-fixed query points.
+    at the query point. With a bound of at least |G| that cannot happen at any
+    nonzero point, fixed or not: over the algebraic closure some linear form
+    is nonzero on the whole orbit of the point, its orbit norm is an invariant
+    of degree |G| nonzero there, and the invariants of that degree are spanned
+    by ones over GF(p). At a fixed point a bound of |G|_p is enough. So None
+    is only seen with an explicit bound below these.
 
     ``witness`` is homogeneous of degree ``value``, invariant and nonzero at
     the point. At a fixed point with value q = |G|_p it is the p-power

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import comb
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -265,12 +266,19 @@ def _expand(items: list, i: int, powers: list, p: int, cap: int | None) -> dict:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[tuple[tuple[int, ...], ...], Mapping]:
+    """The unit exponent tuples in n variables and the read-only term map
+    of 1, shared by every substitution in n variables."""
+    zero = (0,) * n
+    return tuple(zero[:j] + (1,) + zero[j + 1 :] for j in range(n)), MappingProxyType({zero: 1})
+
+
 def _substitute_terms(terms: Mapping, rows: list, p: int, cap: int | None) -> dict:
     """Unreduced terms of f(M x), f given by ``terms`` and M by its rows;
     ``cap`` prunes as in ``_mul_into``."""
-    n = len(rows)
-    units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
-    powers = [[{(0,) * n: 1}, {units[j]: c for j, c in enumerate(row) if c}] for row in rows]
+    units, one = _units(len(rows))
+    powers = [[one, {units[j]: c for j, c in enumerate(row) if c}] for row in rows]
     return _expand(list(terms.items()), 0, powers, p, cap)
 
 
@@ -496,10 +504,15 @@ class Polynomial:
 
         With ``max_rest_degree`` = k only the terms of degree at most k in
         x1..x_(n-1) are computed; every partial product above k is pruned.
+        A ``MatrixGFp`` over this field is used as it is, its entries being
+        reduced already.
         """
         p = self.p
         n = self.nvars
-        m = np.asarray(getattr(matrix, "entries", matrix), dtype=np.int64) % p
+        if getattr(matrix, "p", None) == p:
+            m = matrix.entries
+        else:
+            m = np.asarray(getattr(matrix, "entries", matrix), dtype=np.int64) % p
         if m.shape != (n, n):
             raise ShapeMismatchError(
                 f"substitution matrix has shape {m.shape}, expected {(n, n)}"

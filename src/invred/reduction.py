@@ -6,7 +6,11 @@ this module constructs an explicit homogeneous invariant of degree p^r with
 value 1 at v:
 
   1. extend v to a basis and pass to the dual coordinates, so the first
-     variable is the coordinate along v;
+     variable is the coordinate along v. The completion keeps the unit
+     vectors that enlarge the span, scanned in index order; with k the last
+     nonzero coordinate of v that is B = [v | e_j for j != k], whose inverse
+     has rows e_k / v_k and e_j - (v_j / v_k) * e_k, so neither needs an
+     elimination;
   2. split f as sum_i x0^(N-i) * c_i with c_i of degree i in the remaining
      variables; the scalar c_0 is f(v), and f is rescaled so c_0 = 1;
   3. keep only c_1..c_(p^r) and reassemble
@@ -32,9 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from . import _kernels
 from .errors import DomainError, InternalConsistencyError, PreconditionError
 from .gfp import FieldElement, Prime
 from .group import GroupSpec, MatrixGFp, as_vector, fixes, is_invariant
@@ -74,16 +75,30 @@ def extend_to_basis(v: Sequence, p) -> MatrixGFp:
     """Invertible matrix whose first column is v.
 
     Completion rule (fixed for reproducibility): scan the standard unit
-    vectors in index order and keep each one that enlarges the span. Those
-    are the pivot columns of the RREF of [v | I] after v's own.
+    vectors in index order and keep each one that enlarges the span. Every
+    e_j with j != k does, k the last nonzero coordinate of v, and e_k is
+    then in the span, so the result is [v | e_j for j != k].
     """
     n = len(v)
     vec = as_vector(v, n, p)
     if not vec.any():
         raise DomainError("cannot extend the zero vector to a basis")
-    full = np.column_stack([vec, np.eye(n, dtype=np.int64)])
-    _, piv = _kernels.rref_mod(full, p)
-    return MatrixGFp(full[:, piv], p)
+    return MatrixGFp(_basis_and_inverse(vec.tolist(), p)[0], p)
+
+
+def _basis_and_inverse(v: list[int], p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Rows of extend_to_basis(v) and of its inverse, v a nonzero list of
+    residues: with k the last nonzero coordinate of v and a = 1/v_k, the
+    inverse has rows a*e_k and then e_j - a*v_j*e_k for each j != k."""
+    n = len(v)
+    k = max(j for j in range(n) if v[j])
+    others = [j for j in range(n) if j != k]
+    a = pow(v[k], -1, p)
+    basis = [[v[i]] + [int(i == j) for j in others] for i in range(n)]
+    inverse = [[a if i == k else 0 for i in range(n)]] + [
+        [1 if i == j else -a * v[j] % p if i == k else 0 for i in range(n)] for j in others
+    ]
+    return basis, inverse
 
 
 def adapted_decomposition(f: Polynomial, basis_change: MatrixGFp, degree: int) -> list[Polynomial]:
@@ -104,7 +119,7 @@ def _leading_layers(
 ) -> list[Polynomial]:
     """c_0..c_top of adapted_decomposition; the substitution computes no
     term of degree above top outside x0."""
-    adapted = f.substitute(basis_change.entries, max_rest_degree=top)
+    adapted = f.substitute(basis_change, max_rest_degree=top)
     parts = [dict() for _ in range(top + 1)]
     for exps, c in adapted.terms.items():
         parts[degree - exps[0]][(0,) + exps[1:]] = c
@@ -159,7 +174,8 @@ def reduce_degree(spec: GroupSpec, f: Polynomial, v: Sequence) -> ReductionResul
 
     fact = factor_p_power(degree, p)
     q = int(p) ** fact.r
-    basis_change = extend_to_basis(vec, p)
+    basis, inverse = _basis_and_inverse(vec.tolist(), p)
+    basis_change = MatrixGFp(basis, p)
 
     scale = value.inverse()
     c_list = tuple(c.scale(scale) for c in _leading_layers(f, basis_change, degree, q))
@@ -168,7 +184,7 @@ def reduce_degree(spec: GroupSpec, f: Polynomial, v: Sequence) -> ReductionResul
     for i in range(1, q + 1):
         for exps, c in c_list[i].scale(d_inv).terms.items():
             reduced[(q - i,) + exps[1:]] = c
-    f_tilde = Polynomial(p, n, reduced).substitute(basis_change.inv().entries)
+    f_tilde = Polynomial(p, n, reduced).substitute(inverse)
 
     if f_tilde.is_zero or not f_tilde.is_homogeneous() or f_tilde.degree() != q:
         raise InternalConsistencyError(

@@ -9,7 +9,7 @@ import invred
 import support
 from invred import epsilon, example_action
 from invred.cli import main
-from invred.formats import group_spec_json, load_group_spec
+from invred.formats import digest_inputs, group_spec_json, load_group_spec
 
 SECT3_P2 = {
     "p": 2,
@@ -380,6 +380,19 @@ def test_reports_are_stable_up_to_timing(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert strip_timing(out1) == strip_timing(out2)
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL's libcrypto; only a rendered report needs it
+    proc = support.run_python(
+        "-c",
+        "import sys, invred.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert digest_inputs("a", "b") == (
+        "sha256:8fb20ef63ced4145fc2e983ffe597d1dcff39154c3bf21f0fa9dde6a0c50fdc9"
+    )
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

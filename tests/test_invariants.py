@@ -292,6 +292,21 @@ def test_epsilon_bound_at_a_fixed_point_of_a_group_over_the_cap(monkeypatch, bui
         epsilon(spec, v)
 
 
+def test_epsilon_default_bound_is_finite_at_every_nonzero_point():
+    # the default bound is |G|, and an orbit norm of degree |G| separates
+    # every nonzero point from zero, fixed or not
+    stream = support.spec_stream(1603, max_order=9)
+    nonfixed = 0
+    for _ in range(30):
+        spec, order = next(stream)
+        for v in itertools.product(range(int(spec.p)), repeat=spec.n):
+            if any(v):
+                res = epsilon(spec, v)
+                assert res.is_finite and res.value <= order
+                nonfixed += any(not np.array_equal(g.apply(v), v) for g in spec.generators)
+    assert nonfixed >= 100
+
+
 def test_epsilon_witness_properties():
     rng = random.Random(13)
     for _ in range(8):

@@ -223,6 +223,21 @@ def test_substitute_composition_is_matrix_product():
     assert lhs == rhs
 
 
+def test_substitute_by_a_matrix_object_matches_its_entries():
+    # a MatrixGFp over the polynomial's field is read as it is; one over
+    # another field is reduced mod the polynomial's p like a plain array
+    rng = random.Random(19)
+    for p in (2, 3, 5):
+        n = rng.randrange(2, 4)
+        f = support.random_polynomial(rng, p, n, 4)
+        m = support.random_matrix(rng, p, n)
+        assert f.substitute(m) == f.substitute(m.entries) == f.substitute(m.entries.tolist())
+        other = support.random_matrix(rng, 7, n)
+        assert f.substitute(other) == f.substitute(other.entries % p)
+    with pytest.raises(ShapeMismatchError):
+        Polynomial.one(3, 2).substitute(support.random_matrix(rng, 3, 3))
+
+
 def test_substitute_shape_errors():
     f = Polynomial.one(3, 2)
     with pytest.raises(ShapeMismatchError):

@@ -26,6 +26,7 @@ from invred import (
     monomial_basis,
     reduce_degree,
 )
+from invred.reduction import _basis_and_inverse
 
 
 def unipotent_2d_spec():
@@ -108,6 +109,15 @@ def test_extend_matches_the_scanning_rule_on_every_vector():
         for v in product(range(p), repeat=n):
             if any(v):
                 assert np.array_equal(extend_to_basis(v, p).entries, extend_by_scanning(v, p))
+
+
+def test_closed_form_inverse_inverts_the_basis():
+    for p, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2)]:
+        for v in product(range(p), repeat=n):
+            if any(v):
+                basis, inverse = _basis_and_inverse(list(v), p)
+                assert np.array_equal(basis, extend_to_basis(v, p).entries)
+                assert np.array_equal(np.array(basis) @ np.array(inverse) % p, np.eye(n))
 
 
 def test_extend_rejects_zero():
@@ -205,6 +215,27 @@ def test_reduce_leaves_no_matrix_to_the_cyclic_collector():
         gc.set_debug(0)
         gc.garbage.clear()
     assert left == []
+
+
+def test_reduce_eliminates_nothing(monkeypatch):
+    # the basis change and its inverse are closed forms, so a reduction runs
+    # no row reduction and gives what it gave before rref_mod was refused
+    rng = random.Random(1601)
+    stream = support.spec_stream(1601, max_order=9)
+    cases = [gf2_fixture()]
+    while len(cases) < 25:
+        spec, order = next(stream)
+        trial = support.reduction_trial(rng, spec, order)
+        if trial is not None:
+            v, _, _, f = trial
+            cases.append((spec, f, v))
+    before = [reduce_degree(spec, f, v) for spec, f, v in cases]
+
+    def refuse(*args):
+        raise AssertionError("reduce_degree ran rref_mod")
+
+    monkeypatch.setattr(_kernels, "rref_mod", refuse)
+    assert [reduce_degree(spec, f, v) for spec, f, v in cases] == before
 
 
 def test_reduce_family_witness_d1_path():
