@@ -40,7 +40,7 @@ from .formats import (
     render_report,
 )
 from .gfp import Prime, lucas_binomial, lucas_factors
-from .group import enumerate_group, example_action
+from .group import example_action
 from .invariants import delta_over_fixed_points, epsilon, invariant_basis
 from .poly import slice_dimension
 from .reduction import reduce_degree
@@ -124,9 +124,8 @@ def _cmd_reduce(args) -> dict:
 def _cmd_example(args) -> dict:
     spec = example_action(args.p, args.m, args.lam)
     p = spec.p
-    elements = enumerate_group(spec)
     e_m = [0] * (2 * args.m - 1) + [1]
-    result = epsilon(spec, e_m, bound=elements.order)
+    result = epsilon(spec, e_m)  # searched_bound is |G|
     expected = int(p) ** 2
     if result.value != expected:
         raise TheoremViolationError(
@@ -137,7 +136,7 @@ def _cmd_example(args) -> dict:
         "inputs": {"p": int(p), "m": args.m, "lambda": args.lam % int(p)},
         "result": {
             "spec": group_spec_json(spec),
-            "group_order": elements.order,
+            "group_order": result.searched_bound,
             "fixed_point": e_m,
             "degree_1_invariants": [
                 str(b) for b in invariant_basis(spec, 1).basis
@@ -244,30 +243,23 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.func(args)
+        elapsed = time.perf_counter() - start
+        text = render_report(
+            {"command": args.command, **report, "timing_seconds": round(elapsed, 6)}
+        )
+        if args.output is not None:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
     except ResourceLimitError as exc:
         print(f"invred: resource limit: {exc}", file=sys.stderr)
         return 3
     except (InternalConsistencyError, TheoremViolationError) as exc:
         print(f"invred: ALARM: {exc}", file=sys.stderr)
         return 1
-    except InvredError as exc:
+    except (InvredError, OSError) as exc:
         print(f"invred: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"invred: error: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
-
-    report = {
-        "command": args.command,
-        **report,
-        "timing_seconds": round(elapsed, 6),
-    }
-    text = render_report(report)
-    if args.output is not None:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

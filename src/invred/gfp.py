@@ -10,6 +10,7 @@ from .errors import DomainError, ShapeMismatchError
 __all__ = [
     "Prime",
     "FieldElement",
+    "as_residue",
     "lucas_binomial",
     "lucas_factors",
     "binomial_congruence_holds",
@@ -81,22 +82,17 @@ class FieldElement:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "residue", int(self.residue) % p)
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise ShapeMismatchError(
-                    f"mixed moduli: GF({self.p}) and GF({other.p})"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.p)
+    def _coerce(self, other):
+        """The residue of an int or GF(p) element, else NotImplemented."""
+        if isinstance(other, (int, FieldElement)):
+            return as_residue(other, self.p)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElement(self.residue + o.residue, self.p)
+        return FieldElement(self.residue + o, self.p)
 
     __radd__ = __add__
 
@@ -104,19 +100,19 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElement(self.residue - o.residue, self.p)
+        return FieldElement(self.residue - o, self.p)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElement(o.residue - self.residue, self.p)
+        return FieldElement(o - self.residue, self.p)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElement(self.residue * o.residue, self.p)
+        return FieldElement(self.residue * o, self.p)
 
     __rmul__ = __mul__
 
@@ -127,7 +123,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self * o.inverse()
+        return self * FieldElement(o, self.p).inverse()
 
     def __pow__(self, e: int):
         if e < 0:
@@ -148,6 +144,16 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"{self.residue} (mod {self.p})"
+
+
+def as_residue(c, p: Prime) -> int:
+    """c mod p for an int or a GF(p) element; a FieldElement over another
+    field raises ShapeMismatchError. Polynomials and vectors share this rule."""
+    if isinstance(c, FieldElement):
+        if c.p != p:
+            raise ShapeMismatchError(f"mixed moduli: GF({p}) and GF({c.p})")
+        return c.residue
+    return int(c) % p
 
 
 def lucas_factors(a: int, b: int, p) -> list[tuple[int, int, int]]:

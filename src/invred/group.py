@@ -6,6 +6,12 @@ so the image of f under g is the function v -> f(g^{-1} v). In terms of
 (row i giving the image of x_i). With that convention
 
     act(identity, f) == f        and        act(g, act(h, f)) == act(g @ h, f).
+
+That convention belongs to ``act`` and ``invariants.induced_slice_matrix``
+alone. The rest substitutes by g itself, as f o g == f exactly when
+f o g^{-1} == f: in ``is_invariant``, and in the invariant bases and epsilon,
+whose stacked (action - I) systems keep their nullspace, hence their RREF;
+``orbit_norm``'s forms l o g are, over the group, the act(g, l) reordered.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .gfp import FieldElement, Prime
+from .gfp import FieldElement, Prime, as_residue
 from .poly import Polynomial
 
 __all__ = [
@@ -146,10 +152,9 @@ class MatrixGFp:
 
 
 def as_vector(v: Sequence, n: int, p) -> np.ndarray:
-    """Coerce a sequence of ints or field elements to a residue vector."""
+    """Coerce a sequence of ints or GF(p) elements to a residue vector."""
     p = Prime(p)
-    vals = [int(x) % p if not isinstance(x, FieldElement) else x.residue for x in v]
-    vec = np.asarray(vals, dtype=np.int64)
+    vec = np.asarray([as_residue(x, p) for x in v], dtype=np.int64)
     if vec.shape != (n,):
         raise ShapeMismatchError(f"vector has length {vec.shape}, expected ({n},)")
     return vec
@@ -233,10 +238,6 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_GROUP_CAP) -> GroupEleme
 
 def act(g: MatrixGFp, f: Polynomial) -> Polynomial:
     """Image of the polynomial f under g: compose f with g^{-1}."""
-    if g.n != f.nvars or g.p != f.p:
-        raise ShapeMismatchError(
-            f"cannot act: {g.n}x{g.n} over GF({g.p}) on {f.nvars} vars over GF({f.p})"
-        )
     return f.substitute(g.inv())
 
 
@@ -266,15 +267,10 @@ def fixes(spec: GroupSpec, points) -> bool:
 def is_invariant(f: Polynomial, spec: GroupSpec) -> bool:
     """Whether f is formally fixed by every generator (hence the group).
 
-    f is compared with its sparse image under each generator; in
+    f is compared with its sparse composition f o g with each generator; in
     characteristic p powers of linear forms stay sparse.
     """
-    if f.nvars != spec.n or f.p != spec.p:
-        raise ShapeMismatchError(
-            f"polynomial in {f.nvars} vars over GF({f.p}) vs group on "
-            f"{spec.n} dims over GF({spec.p})"
-        )
-    return all(act(g, f) == f for g in spec.generators)
+    return all(f.substitute(g) == f for g in spec.generators)
 
 
 def example_action(p, m: int, lam=0) -> GroupSpec:
@@ -291,7 +287,7 @@ def example_action(p, m: int, lam=0) -> GroupSpec:
     p = Prime(p)
     if m < 2:
         raise DomainError(f"m must be at least 2, got {m}")
-    lam = int(lam) % p if not isinstance(lam, FieldElement) else lam.residue
+    lam = as_residue(lam, p)
     eye = np.eye(m, dtype=np.int64)
     jordan = lam * eye + np.diag(np.ones(m - 1, dtype=np.int64), -1)
     zero = np.zeros((m, m), dtype=np.int64)

@@ -40,7 +40,7 @@ from . import _kernels
 from .errors import DomainError, FixedSpaceLimitError, GroupTooLargeError
 from .gfp import FieldElement, Prime
 from .group import (
-    GroupElements, GroupSpec, MatrixGFp, act, as_vector, enumerate_group, fixed_space, fixes,
+    GroupElements, GroupSpec, MatrixGFp, as_vector, enumerate_group, fixed_space, fixes,
 )
 from .poly import Polynomial, check_slice_limit, parent_table, slice_images, slice_levels
 from .reduction import DegreeFactorization, factor_p_power
@@ -113,7 +113,7 @@ def invariant_basis(spec: GroupSpec, degree: int) -> DegreeSliceBasis:
     if degree < 1:
         raise DomainError(f"degree must be positive, got {degree}")
     n, p = spec.n, spec.p
-    rows = _invariant_rows([slice_images(g.inv().entries, degree, p) for g in spec.generators], p)
+    rows = _invariant_rows([slice_images(g.entries, degree, p) for g in spec.generators], p)
     basis = tuple(Polynomial.from_coordinates(p, n, degree, row) for row in rows)
     return DegreeSliceBasis(degree=degree, basis=basis)
 
@@ -164,7 +164,7 @@ def _epsilon_search(
     keeps the walk to the largest power of p within the bound.
     """
     n, p = spec.n, spec.p
-    levels = [slice_levels(g.inv().entries, p) for g in spec.generators]
+    levels = [slice_levels(g.entries, p) for g in spec.generators]
     results = [EpsilonResult(value=None, witness=None, searched_bound=bound)] * len(points)
     coords = np.array(points, dtype=np.int64).reshape(len(points), n)
     fixed = fixes(spec, coords)
@@ -276,14 +276,17 @@ def epsilon(spec: GroupSpec, v: Sequence, bound: int | None = None) -> EpsilonRe
 def orbit_norm(spec: GroupSpec, l: Polynomial) -> Polynomial:
     """Product of the images of a linear form over the whole group.
 
-    An invariant of degree |G|. At any fixed point v its value is l(v)^|G|,
-    so it separates v from zero whenever l does.
+    An invariant of degree |G|, guarded as one before the product of the
+    forms l o g. At any fixed point v its value is l(v)^|G|, so it
+    separates v from zero whenever l does.
     """
     if l.is_zero or not l.is_homogeneous() or l.degree() != 1:
         raise DomainError("orbit norm needs a homogeneous linear form")
+    group = enumerate_group(spec)
+    check_slice_limit(l.nvars, group.order)
     result = Polynomial.one(l.p, l.nvars)
-    for g in enumerate_group(spec):
-        result = result * act(g, l)
+    for g in group:
+        result = result * l.substitute(g)
     return result
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ShapeMismatchError, SliceLimitError
-from .gfp import FieldElement, Prime
+from .gfp import FieldElement, Prime, as_residue
 
 __all__ = [
     "Monomial", "Polynomial", "monomial_basis", "slice_dimension", "slice_limit",
@@ -282,14 +282,6 @@ def _substitute_terms(terms: Mapping, rows: list, p: int, cap: int | None) -> di
     return _expand(list(terms.items()), 0, powers, p, cap)
 
 
-def _as_residue(c, p: Prime) -> int:
-    if isinstance(c, FieldElement):
-        if c.p != p:
-            raise ShapeMismatchError(f"mixed moduli: GF({p}) and GF({c.p})")
-        return c.residue
-    return int(c) % p
-
-
 class Polynomial:
     """Sparse polynomial over GF(p); ``terms`` maps exponent tuples to residues.
 
@@ -314,7 +306,7 @@ class Polynomial:
                 )
             if any(e < 0 for e in exps):
                 raise DomainError(f"negative exponent in {exps}")
-            r = _as_residue(c, p)
+            r = as_residue(c, p)
             if r:
                 clean[exps] = r
         object.__setattr__(self, "p", p)
@@ -357,7 +349,7 @@ class Polynomial:
         p = Prime(p)
         for exps, c in terms:
             key = tuple(int(e) for e in exps)
-            acc[key] = (acc.get(key, 0) + _as_residue(c, p)) % p
+            acc[key] = (acc.get(key, 0) + as_residue(c, p)) % p
         return cls(p, nvars, acc)
 
     # ---- ring structure ------------------------------------------------
@@ -420,7 +412,7 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        r = _as_residue(c, self.p)
+        r = as_residue(c, self.p)
         if r == 0:
             return Polynomial.zero(self.p, self.nvars)
         p = self.p
@@ -482,7 +474,7 @@ class Polynomial:
                 f"point has {len(point)} coordinates, expected {self.nvars}"
             )
         p = self.p
-        vals = [_as_residue(v, p) for v in point]
+        vals = [as_residue(v, p) for v in point]
         total = 0
         for exps, c in self.terms.items():
             t = c
@@ -505,14 +497,17 @@ class Polynomial:
         With ``max_rest_degree`` = k only the terms of degree at most k in
         x1..x_(n-1) are computed; every partial product above k is pruned.
         A ``MatrixGFp`` over this field is used as it is, its entries being
-        reduced already.
+        reduced already; one over another field raises ShapeMismatchError.
+        Plain arrays and nested lists are reduced mod p.
         """
         p = self.p
         n = self.nvars
-        if getattr(matrix, "p", None) == p:
+        if hasattr(matrix, "p"):
+            if matrix.p != p:
+                raise ShapeMismatchError(f"mixed moduli: GF({p}) and GF({matrix.p})")
             m = matrix.entries
         else:
-            m = np.asarray(getattr(matrix, "entries", matrix), dtype=np.int64) % p
+            m = np.asarray(matrix, dtype=np.int64) % p
         if m.shape != (n, n):
             raise ShapeMismatchError(
                 f"substitution matrix has shape {m.shape}, expected {(n, n)}"

@@ -266,6 +266,22 @@ def test_example_p3(capsys):
     assert report["result"]["group_order"] == 9
 
 
+def test_example_enumerates_the_group_once(capsys, monkeypatch):
+    original = invred.group.enumerate_group
+    calls = []
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return original(spec, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("invred") and getattr(module, "enumerate_group", None) is original:
+            monkeypatch.setattr(module, "enumerate_group", counting)
+    report = run_report(capsys, "example", "--p", "3", "--m", "2")
+    assert report["result"]["group_order"] == 9
+    assert len(calls) == 1
+
+
 def test_example_m1_exits_2(capsys):
     code, _, err = run_cli(capsys, "example", "--p", "2", "--m", "1")
     assert code == 2
@@ -405,6 +421,17 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["result"]["dimension"] == 2
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-parent", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    spec = write_json(tmp_path, "spec.json", SECT3_P2)
+    code, out, err = run_cli(
+        capsys, "basis", "--spec", str(spec), "--degree", "1", "--output", str(tmp_path / target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invred: error: ")
 
 
 def test_version_flag(capsys):

@@ -16,10 +16,13 @@ from invred import (
     SingularMatrixError,
     act,
     enumerate_group,
+    epsilon,
     example_action,
     fixed_space,
     is_invariant,
+    reduce_degree,
 )
+from invred.group import as_vector
 
 
 def unipotent_2d_spec():
@@ -176,6 +179,27 @@ def test_act_is_a_group_action():
 def test_act_shape_error():
     with pytest.raises(ShapeMismatchError):
         act(MatrixGFp.identity(3, 2), Polynomial.one(2, 2))
+
+
+def test_mixed_moduli_are_refused_not_reduced():
+    # x0 -> x0 + 4*x1 over GF(5) would read as x0 + x1 over GF(3)
+    g = MatrixGFp([[1, 4], [0, 1]], 5)
+    f = Polynomial.variable(3, 2, 0)
+    for call in (lambda: f.substitute(g), lambda: act(g, f),
+                 lambda: is_invariant(f, GroupSpec(Prime(5), 2, (g,)))):
+        with pytest.raises(ShapeMismatchError, match=r"mixed moduli: GF\(3\) and GF\(5\)"):
+            call()
+
+
+def test_as_vector_refuses_a_field_element_over_another_field():
+    assert as_vector([0, 4, FieldElement(2, 3)], 3, 3).tolist() == [0, 1, 2]
+    with pytest.raises(ShapeMismatchError, match="mixed moduli"):
+        as_vector([0, 0, 0, FieldElement(4, 5)], 4, 3)
+    # the separating invariant at e_3 is fine; only the point is over GF(5)
+    spec = example_action(3, 2, 0)
+    f = epsilon(spec, [0, 0, 0, 1]).witness
+    with pytest.raises(ShapeMismatchError, match="mixed moduli"):
+        reduce_degree(spec, f, [0, 0, 0, FieldElement(4, 5)])
 
 
 # ---- fixed spaces ------------------------------------------------------------

@@ -31,10 +31,12 @@ from invred import (
     is_invariant,
     monomial_basis,
     orbit_norm,
+    reduce_degree,
     slice_dimension,
     _kernels,
     poly,
 )
+from invred.invariants import _invariant_rows
 
 
 def unipotent_2d_spec():
@@ -206,6 +208,7 @@ def _entry_point(name):
         "invariant_basis": lambda: invariant_basis(spec, 4),
         "act": lambda: act(g, f),
         "is_invariant": lambda: is_invariant(f, spec),
+        "orbit_norm": lambda: orbit_norm(spec, Polynomial.variable(p, 3, 0)),  # |G| = 4
         "substitute": lambda: f.substitute(g),
         "adapted_decomposition": lambda: adapted_decomposition(f, extend_to_basis([0, 0, 1], p), 4),
     }[name]
@@ -214,7 +217,7 @@ def _entry_point(name):
 @pytest.mark.parametrize(
     "entry",
     ["slice_levels", "slice_images", "induced_slice_matrix", "invariant_basis", "act",
-     "is_invariant", "substitute", "adapted_decomposition"],
+     "is_invariant", "orbit_norm", "substitute", "adapted_decomposition"],
 )
 def test_slice_limit_guard_at_every_entry_point(monkeypatch, built_levels, entry):
     # under a limit of 10 degree 3 (dimension 10) is allowed and degree 4 is
@@ -481,3 +484,72 @@ def test_delta_result_matches_independent_calls(name):
         assert eps.value == epsilon(spec, v).value
         assert eps.searched_bound == order
     assert res.value == max((eps.value for eps in res.epsilons), default=0)
+
+
+# ---- g^-1 only where act's convention needs it ------------------------------------
+
+# the four fixed_point_sweep family groups and seeded small groups
+REFERENCE_SPECS = [example_action(*args) for args in ((2, 6, 0), (3, 2, 0), (3, 2, 1), (3, 2, 2))]
+REFERENCE_SPECS += [spec for spec, _ in itertools.islice(support.spec_stream(1701), 10)]
+
+
+def test_computations_outside_act_never_invert(monkeypatch):
+    # invariance, bases, epsilon, delta, the orbit norm and the reduction
+    # depend on G only through the polynomials it fixes; none inverts g
+    spec = example_action(2, 2, 1)
+    e_m = [0, 0, 0, 1]
+
+    def refuse(self):
+        raise AssertionError("MatrixGFp.inv called")
+
+    monkeypatch.setattr(MatrixGFp, "inv", refuse)
+    assert invariant_basis(spec, 2).dimension > 0
+    res = epsilon(spec, e_m)
+    assert res.value == 4
+    assert delta_over_fixed_points(spec).value == 4
+    assert is_invariant(res.witness, spec)
+    assert not is_invariant(Polynomial.variable(2, 4, 3), spec)
+    norm = orbit_norm(spec, Polynomial.variable(2, 4, 3))
+    assert reduce_degree(spec, norm, e_m).f_tilde == res.witness
+
+
+def test_invariant_basis_matches_the_inverse_action_system():
+    # g and g^-1 fix the same slice vectors, so the stacked system keeps its
+    # row space and the basis is the same as from act's matrices
+    for spec in REFERENCE_SPECS:
+        n, p = spec.n, spec.p
+        for d in range(1, 4 if n > 4 else 7):
+            tables = [poly.slice_images(g.inv().entries, d, p) for g in spec.generators]
+            want = [Polynomial.from_coordinates(p, n, d, row)
+                    for row in _invariant_rows(tables, p)]
+            assert list(invariant_basis(spec, d).basis) == want
+
+
+def test_is_invariant_matches_act_on_the_generators():
+    rng = random.Random(1703)
+    seen = {True: 0, False: 0}
+    for spec in REFERENCE_SPECS:
+        n, p = spec.n, int(spec.p)
+        candidates = [support.random_polynomial(rng, p, n, 4) for _ in range(4)]
+        for d in (1, 2, p):
+            for b in invariant_basis(spec, d).basis:
+                candidates += [b, b + Polynomial.variable(p, n, 0) ** d]
+        for f in candidates:
+            got = is_invariant(f, spec)
+            assert got == all(act(g, f) == f for g in spec.generators)
+            seen[got] += 1
+    assert min(seen.values()) > 10
+
+
+def test_orbit_norm_matches_the_product_of_act_images():
+    # over the group the forms l o g are the images act(g, l) in another order
+    rng = random.Random(1707)
+    for spec in REFERENCE_SPECS:
+        n, p = spec.n, int(spec.p)
+        group = enumerate_group(spec)
+        for _ in range(3):
+            coeffs = [rng.randrange(p) for _ in range(n)]
+            coeffs[rng.randrange(n)] = 1
+            l = Polynomial.from_coordinates(p, n, 1, coeffs)
+            want = functools.reduce(lambda a, g: a * act(g, l), group, Polynomial.one(p, n))
+            assert orbit_norm(spec, l) == want

@@ -225,7 +225,7 @@ def test_substitute_composition_is_matrix_product():
 
 def test_substitute_by_a_matrix_object_matches_its_entries():
     # a MatrixGFp over the polynomial's field is read as it is; one over
-    # another field is reduced mod the polynomial's p like a plain array
+    # another field is refused, while a plain array is reduced mod p
     rng = random.Random(19)
     for p in (2, 3, 5):
         n = rng.randrange(2, 4)
@@ -233,7 +233,9 @@ def test_substitute_by_a_matrix_object_matches_its_entries():
         m = support.random_matrix(rng, p, n)
         assert f.substitute(m) == f.substitute(m.entries) == f.substitute(m.entries.tolist())
         other = support.random_matrix(rng, 7, n)
-        assert f.substitute(other) == f.substitute(other.entries % p)
+        with pytest.raises(ShapeMismatchError, match="mixed moduli"):
+            f.substitute(other)
+        assert f.substitute(other.entries) == f.substitute(other.entries % p)
     with pytest.raises(ShapeMismatchError):
         Polynomial.one(3, 2).substitute(support.random_matrix(rng, 3, 3))
 
