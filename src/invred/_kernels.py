@@ -19,8 +19,9 @@ are residues mod p:
 Exactness rests on ``MAX_PRIME``, the largest accepted modulus: for
 p <= MAX_PRIME a product of two residues is below 2^40, and every unreduced
 int64 sum the kernels form stays below 2^63 (see the comment at MAX_PRIME).
-``MatrixGFp`` rejects larger primes, so the package never hands a kernel a
-modulus at which a sum could wrap.
+``check_modulus`` refuses larger primes where a modulus first meets numpy
+(``MatrixGFp``, ``slice_levels``, ``example_action``), so no kernel is ever
+handed a modulus at which a sum could wrap.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DomainError
+
 _INT64_SAFE = 2**62
 
 # Largest accepted modulus, the largest prime below 2^20: then a product of
@@ -36,6 +39,12 @@ _INT64_SAFE = 2**62
 # product per rref outer-product entry, 2^62 / (p-1)^2 per matmul chunk, and
 # at most n per merged next_slice_level entry for any n that fits in memory).
 MAX_PRIME = 1_048_573
+
+
+def check_modulus(p) -> None:
+    """Refuse a modulus above MAX_PRIME, where an int64 sum could wrap."""
+    if int(p) > MAX_PRIME:
+        raise DomainError(f"p = {p} exceeds {MAX_PRIME}, the int64 kernels' limit")
 
 
 def _rref_in_place(a, p) -> np.ndarray:

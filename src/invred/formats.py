@@ -11,9 +11,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .gfp import Prime
-from .group import GroupSpec, MatrixGFp, check_modulus
+from .group import GroupSpec, MatrixGFp
 from .poly import Polynomial
 
 
@@ -48,11 +48,10 @@ def parse_group_spec(data: Any, origin: str = "spec") -> GroupSpec:
     if unknown:
         _fail(origin, f"unknown fields {sorted(unknown)}")
     p_raw = _require_int(data["p"], "p")
-    check_modulus(p_raw)
     try:
         p = Prime(p_raw)
-    except Exception:
-        _fail("p", f"{p_raw} is not prime")
+    except DomainError as exc:
+        _fail("p", str(exc))
     n = _require_int(data["n"], "n")
     if n < 1:
         _fail("n", "dimension must be positive")
@@ -65,12 +64,10 @@ def parse_group_spec(data: Any, origin: str = "spec") -> GroupSpec:
             _fail(f"generators[{gi}]", f"expected a list of {n} rows")
         rows = []
         for ri, row in enumerate(mat):
+            where = f"generators[{gi}][{ri}]"
             if not isinstance(row, list) or len(row) != n:
-                _fail(f"generators[{gi}][{ri}]", f"expected a list of {n} integers")
-            # reduce as Python ints: an entry beyond int64 would overflow the array
-            rows.append([
-                _require_int(x, f"generators[{gi}][{ri}][{ci}]") % p for ci, x in enumerate(row)
-            ])
+                _fail(where, f"expected a list of {n} integers")
+            rows.append([_require_int(x, f"{where}[{ci}]") for ci, x in enumerate(row)])
         matrices.append(MatrixGFp(rows, p))
     return GroupSpec(p, n, tuple(matrices))
 

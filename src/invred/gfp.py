@@ -1,9 +1,17 @@
-"""Exact arithmetic in the prime field GF(p) and modular binomial combinatorics."""
+"""Exact arithmetic in the prime field GF(p) and modular binomial combinatorics.
+
+Every value enters GF(p) by one rule, ``as_residue`` (``as_residues`` for
+arrays): an integral c is read as c mod p (2.0 passes, 1.5 does not), a GF(p)
+element as its residue, and one over another field raises "mixed moduli".
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
 
@@ -11,6 +19,7 @@ __all__ = [
     "Prime",
     "FieldElement",
     "as_residue",
+    "as_residues",
     "lucas_binomial",
     "lucas_factors",
     "binomial_congruence_holds",
@@ -70,8 +79,8 @@ class Prime(int):
 class FieldElement:
     """A residue mod a prime p. All arithmetic is exact and closed.
 
-    Values auto-reduce at construction, so ``FieldElement(-1, Prime(5))``
-    is the residue 4.
+    Values are read by ``as_residue`` at construction, so
+    ``FieldElement(-1, Prime(5))`` is the residue 4.
     """
 
     residue: int
@@ -80,39 +89,28 @@ class FieldElement:
     def __post_init__(self):
         p = Prime(self.p)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "residue", int(self.residue) % p)
+        object.__setattr__(self, "residue", as_residue(self.residue, p))
 
-    def _coerce(self, other):
-        """The residue of an int or GF(p) element, else NotImplemented."""
-        if isinstance(other, (int, FieldElement)):
-            return as_residue(other, self.p)
-        return NotImplemented
+    def _op(self, other, f):
+        """FieldElement(f(a, b)), a this residue and b the residue of an int or
+        GF(p) element; NotImplemented for any other operand."""
+        if not isinstance(other, (int, FieldElement)):
+            return NotImplemented
+        return FieldElement(f(self.residue, as_residue(other, self.p)), self.p)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.residue + o, self.p)
+        return self._op(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.residue - o, self.p)
+        return self._op(other, operator.sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(o - self.residue, self.p)
+        return self._op(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.residue * o, self.p)
+        return self._op(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -120,10 +118,7 @@ class FieldElement:
         return FieldElement(-self.residue, self.p)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * FieldElement(o, self.p).inverse()
+        return self._op(other, lambda a, b: a * FieldElement(b, self.p).inverse().residue)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -147,13 +142,33 @@ class FieldElement:
 
 
 def as_residue(c, p: Prime) -> int:
-    """c mod p for an int or a GF(p) element; a FieldElement over another
-    field raises ShapeMismatchError. Polynomials and vectors share this rule."""
+    """c mod p for an integral c or a GF(p) element; a FieldElement over
+    another field raises ShapeMismatchError, a non-integral c DomainError."""
     if isinstance(c, FieldElement):
         if c.p != p:
             raise ShapeMismatchError(f"mixed moduli: GF({p}) and GF({c.p})")
         return c.residue
-    return int(c) % p
+    v = int(c)
+    if v != c:
+        raise DomainError(f"expected an integer or a GF({p}) element, got {c!r}")
+    return v % p
+
+
+def as_residues(values, p: Prime) -> np.ndarray:
+    """``as_residue`` on every entry: int64 residues (ints for p >= 2^63). A MatrixGFp
+    gives its entries, or raises ShapeMismatchError if over another field; signed
+    ints are reduced in one numpy operation, anything else entry by entry."""
+    if hasattr(values, "p"):
+        if values.p != p:
+            raise ShapeMismatchError(f"mixed moduli: GF({p}) and GF({values.p})")
+        return values.entries
+    dtype = np.int64 if p < 2**63 else object
+    arr = np.asarray(values)
+    if arr.dtype.kind == "i":
+        return np.remainder(arr, p, dtype=dtype)
+    if not isinstance(values, np.ndarray):
+        arr = np.array(values, dtype=object)  # numpy reads ints past int64 as uint64 or float
+    return np.array([as_residue(c, p) for c in arr.flat], dtype=dtype).reshape(arr.shape)
 
 
 def lucas_factors(a: int, b: int, p) -> list[tuple[int, int, int]]:

@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .gfp import FieldElement, Prime, as_residue
+from .gfp import FieldElement, Prime, as_residue, as_residues
 from .poly import Polynomial
 
 __all__ = [
@@ -41,29 +41,21 @@ __all__ = [
     "fixes",
     "is_invariant",
     "example_action",
-    "check_modulus",
     "DEFAULT_GROUP_CAP",
 ]
 
 DEFAULT_GROUP_CAP = 1_000_000
 
 
-def check_modulus(p) -> None:
-    """Refuse a modulus over the int64 kernels' limit. Callers run it before
-    ``Prime(p)``, so a huge p is refused by size, whether prime or not."""
-    if int(p) > _kernels.MAX_PRIME:
-        raise DomainError(f"p = {p} exceeds {_kernels.MAX_PRIME}, the int64 kernels' limit")
-
-
 class MatrixGFp:
-    """An n-by-n matrix of residues mod p. Entries are read-only int64."""
+    """An n-by-n matrix of residues mod p, read by ``as_residues``; read-only int64."""
 
     __slots__ = ("p", "entries", "_inv")
 
     def __init__(self, entries, p):
-        check_modulus(p)
+        _kernels.check_modulus(p)
         p = Prime(p)
-        arr = np.array(getattr(entries, "entries", entries), dtype=np.int64) % p
+        arr = as_residues(entries, p)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"matrix must be square, got shape {arr.shape}")
         arr.setflags(write=False)
@@ -152,9 +144,8 @@ class MatrixGFp:
 
 
 def as_vector(v: Sequence, n: int, p) -> np.ndarray:
-    """Coerce a sequence of ints or GF(p) elements to a residue vector."""
-    p = Prime(p)
-    vec = np.asarray([as_residue(x, p) for x in v], dtype=np.int64)
+    """Read a sequence of ints or GF(p) elements as a residue vector."""
+    vec = as_residues(v, Prime(p))
     if vec.shape != (n,):
         raise ShapeMismatchError(f"vector has length {vec.shape}, expected ({n},)")
     return vec
@@ -173,20 +164,13 @@ class GroupSpec:
     generators: tuple[MatrixGFp, ...]
 
     def __post_init__(self):
-        check_modulus(self.p)
         object.__setattr__(self, "p", Prime(self.p))
-        gens = tuple(
-            g if isinstance(g, MatrixGFp) else MatrixGFp(g, self.p)
-            for g in self.generators
-        )
+        gens = tuple(MatrixGFp(g, self.p) for g in self.generators)
         if not gens:
             raise DomainError("need at least one generator")
         for i, g in enumerate(gens):
-            if g.p != self.p or g.n != self.n:
-                raise ShapeMismatchError(
-                    f"generator {i} is {g.n}x{g.n} over GF({g.p}), expected "
-                    f"{self.n}x{self.n} over GF({self.p})"
-                )
+            if g.n != self.n:
+                raise ShapeMismatchError(f"generator {i} is {g.n}x{g.n}, not {self.n}x{self.n}")
             if not g.is_invertible():
                 raise SingularMatrixError(f"generator {i} is singular over GF({self.p})")
         object.__setattr__(self, "generators", gens)
@@ -257,7 +241,7 @@ def fixed_space(spec: GroupSpec) -> list[np.ndarray]:
 
 def fixes(spec: GroupSpec, points) -> bool:
     """Whether every generator, hence the group, fixes each point (one per row)."""
-    coords = np.asarray(points, dtype=np.int64).reshape(-1, spec.n).T
+    coords = as_residues(points, spec.p).reshape(-1, spec.n).T
     return all(
         np.array_equal(_kernels.matmul_mod(g.entries, coords, spec.p), coords)
         for g in spec.generators
@@ -283,11 +267,11 @@ def example_action(p, m: int, lam=0) -> GroupSpec:
     basis vector e_m is fixed by the whole group. Requires m >= 2 (the Jordan
     block needs a subdiagonal entry to make the two generators independent).
     """
-    check_modulus(p)
     p = Prime(p)
     if m < 2:
         raise DomainError(f"m must be at least 2, got {m}")
     lam = as_residue(lam, p)
+    _kernels.check_modulus(p)
     eye = np.eye(m, dtype=np.int64)
     jordan = lam * eye + np.diag(np.ones(m - 1, dtype=np.int64), -1)
     zero = np.zeros((m, m), dtype=np.int64)

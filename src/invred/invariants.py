@@ -30,6 +30,7 @@ change and without forming the norm (see _norm_witness).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -168,34 +169,28 @@ def _epsilon_search(
     results = [EpsilonResult(value=None, witness=None, searched_bound=bound)] * len(points)
     coords = np.array(points, dtype=np.int64).reshape(len(points), n)
     fixed = fixes(spec, coords)
-    stop = bound  # the last degree eliminated
+    degrees = range(1, bound + 1)  # the degrees eliminated
     norm_degree = None  # the degree that resolves every point left after the walk
     if fixed:
         if group is None:
-            try:
+            with contextlib.suppress(GroupTooLargeError):  # else no |G|_p: walk to the bound
                 group = enumerate_group(spec)
-            except GroupTooLargeError:
-                pass  # no |G|_p to stop at: the walk runs to the bound
+        top = bound
         if group is not None:
             fact = factor_p_power(group.order, p)
             q = p**fact.r
             if bound >= q:
-                norm_degree = q
-        # the largest power of p within the walk, whose divisors are the
-        # degrees eliminated; 0 when nothing is (|G|_p = 1)
-        top = norm_degree // p if norm_degree else bound
-        stop, power = 0, 1
-        while power <= top:
-            stop, power = power, power * p
+                norm_degree, top = q, q // p
+        degrees = [p**k for k in range(top.bit_length()) if p**k <= top]
     unresolved = np.arange(len(points))
     values = np.ones((len(points), 1), dtype=np.int64)  # monomial values at the points
-    for d in range(1, stop + 1):
+    for d in range(1, degrees[-1] + 1 if degrees else 1):
         if not unresolved.size:
             break
         tables = [next(it) for it in levels]
         parent_rank, parent_var = parent_table(n, d)
         values = values[:, parent_rank] * coords[unresolved][:, parent_var] % p
-        if fixed and stop % d:  # not a power of p
+        if d not in degrees:
             continue
         rows = _invariant_rows(tables, p)
         nonzero = _kernels.matmul_mod(rows, values.T, p) != 0

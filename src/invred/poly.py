@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ShapeMismatchError, SliceLimitError
-from .gfp import FieldElement, Prime, as_residue
+from .gfp import FieldElement, Prime, as_residue, as_residues
 
 __all__ = [
     "Monomial", "Polynomial", "monomial_basis", "slice_dimension", "slice_limit",
@@ -44,10 +44,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
-            raise DomainError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "exponents", _exponents(self.exponents))
 
     @property
     def degree(self) -> int:
@@ -64,6 +61,15 @@ class Monomial:
             elif e > 1:
                 parts.append(f"x{i}^{e}")
         return "*".join(parts) if parts else "1"
+
+
+def _exponents(raw) -> tuple[int, ...]:
+    """A tuple of ints; DomainError for a negative or non-integral exponent."""
+    raw = tuple(raw)
+    exps = tuple(map(int, raw))
+    if exps != raw or any(e < 0 for e in exps):
+        raise DomainError(f"exponents must be nonnegative integers, got {raw}")
+    return exps
 
 
 def _exponents_desc(nvars: int, degree: int):
@@ -172,6 +178,7 @@ def slice_levels(subst: np.ndarray, p: Prime) -> Iterator[_kernels.CSR]:
     is a parent monomial times one variable, so its image is the parent
     image times one substituted variable: each level is built from the last.
     """
+    _kernels.check_modulus(p)
     n = subst.shape[0]
     level = _kernels.CSR.identity(1)
     for k in itertools.count(1):
@@ -299,13 +306,11 @@ class Polynomial:
             raise DomainError("need at least one variable")
         clean: dict[tuple[int, ...], int] = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = _exponents(exps)
             if len(exps) != nvars:
                 raise ShapeMismatchError(
                     f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
                 )
-            if any(e < 0 for e in exps):
-                raise DomainError(f"negative exponent in {exps}")
             r = as_residue(c, p)
             if r:
                 clean[exps] = r
@@ -348,7 +353,7 @@ class Polynomial:
         acc: dict[tuple[int, ...], int] = {}
         p = Prime(p)
         for exps, c in terms:
-            key = tuple(int(e) for e in exps)
+            key = _exponents(exps)
             acc[key] = (acc.get(key, 0) + as_residue(c, p)) % p
         return cls(p, nvars, acc)
 
@@ -496,18 +501,12 @@ class Polynomial:
 
         With ``max_rest_degree`` = k only the terms of degree at most k in
         x1..x_(n-1) are computed; every partial product above k is pruned.
-        A ``MatrixGFp`` over this field is used as it is, its entries being
-        reduced already; one over another field raises ShapeMismatchError.
-        Plain arrays and nested lists are reduced mod p.
+        The matrix is read by ``gfp.as_residues``: a ``MatrixGFp`` over another
+        field raises ShapeMismatchError.
         """
         p = self.p
         n = self.nvars
-        if hasattr(matrix, "p"):
-            if matrix.p != p:
-                raise ShapeMismatchError(f"mixed moduli: GF({p}) and GF({matrix.p})")
-            m = matrix.entries
-        else:
-            m = np.asarray(matrix, dtype=np.int64) % p
+        m = as_residues(matrix, p)
         if m.shape != (n, n):
             raise ShapeMismatchError(
                 f"substitution matrix has shape {m.shape}, expected {(n, n)}"

@@ -83,6 +83,15 @@ def test_basis_nonprime_modulus(tmp_path, capsys):
     assert "not prime" in err
 
 
+def test_basis_modulus_beyond_exact_primality_reports_why(tmp_path, capsys):
+    # Prime's own reason, not "is not prime": 4*10^24 is past the range where
+    # Miller-Rabin with the first 13 prime bases is exact
+    spec = write_json(tmp_path, "huge.json", {"p": 4 * 10**24, "n": 1, "generators": [[[1]]]})
+    code, _, err = run_cli(capsys, "basis", "--spec", str(spec), "--degree", "1")
+    assert code == 2
+    assert "too large to test" in err
+
+
 def test_basis_prime_above_kernel_range_exits_2(tmp_path, capsys):
     p = 1048583  # next prime after 1048573, the largest accepted
     spec = write_json(tmp_path, "big.json", {"p": p, "n": 1, "generators": [[[1]]]})
@@ -92,8 +101,8 @@ def test_basis_prime_above_kernel_range_exits_2(tmp_path, capsys):
 
 
 def test_huge_prime_modulus_exits_2_promptly(tmp_path):
-    # 10^18 + 3 is prime; it is refused by size before a primality test
-    # whose trial division would not finish
+    # 10^18 + 3 is prime; Miller-Rabin accepts it at once and the int64
+    # kernels' guard then refuses it by size
     p = 10**18 + 3
     spec = write_json(tmp_path, "huge.json", {"p": p, "n": 1, "generators": [[[1]]]})
     runs = [("basis", "--spec", str(spec), "--degree", "1"), ("example", "--p", str(p), "--m", "2")]
@@ -312,7 +321,8 @@ def test_lucas_b_above_a(capsys):
 
 
 def test_lucas_huge_prime_finishes_promptly():
-    # 10^18 + 3 is prime; trial division on it used to run until killed
+    # 10^18 + 3 is prime; Miller-Rabin decides it at once (a trial-division
+    # test would not finish)
     proc = support.run_python(
         "-m", "invred.cli", "lucas", "--a", "5", "--b", "2", "--p", "1000000000000000003", timeout=20
     )

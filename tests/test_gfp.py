@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,14 @@ from sympy import isprime, nextprime
 from invred import (
     DomainError,
     FieldElement,
+    MatrixGFp,
+    Monomial,
+    Polynomial,
     Prime,
     ShapeMismatchError,
     binomial_congruence_holds,
+    epsilon,
+    example_action,
     lucas_binomial,
     lucas_factors,
 )
@@ -82,6 +89,33 @@ def test_field_arithmetic_basics():
 def test_field_modulus_mismatch():
     with pytest.raises(ShapeMismatchError):
         FieldElement(1, Prime(3)) + FieldElement(1, Prime(5))
+    # an element over GF(5) is not re-read mod 3 (4 would become 1)
+    with pytest.raises(ShapeMismatchError, match=r"mixed moduli: GF\(3\) and GF\(5\)"):
+        FieldElement(FieldElement(4, 5), 3)
+    assert FieldElement(FieldElement(4, 5), 5).residue == 4
+
+
+def test_non_integral_values_are_refused_everywhere():
+    # truncating would read 7/2 as 3 and 1.5 as 1; as an element of GF(3),
+    # 7/2 is 2, so no guess is right for every reader
+    refused = [
+        lambda: Polynomial(3, 1, {(1,): Fraction(7, 2)}),
+        lambda: Polynomial(3, 1, {(1,): 1.5}),
+        lambda: FieldElement(2.7, 5),
+        lambda: MatrixGFp([[1.9, 0], [0, 1]], 3),
+        lambda: MatrixGFp(np.array([[1.9, 0], [0, 1]]), 3),
+        lambda: epsilon(example_action(2, 2, 0), [0, 0, 0, 1.5]),
+        lambda: Polynomial(3, 1, {(1.5,): 1}),
+        lambda: Polynomial.from_terms(3, 1, [((1.5,), 1)]),
+        lambda: Monomial((1.5, 0)),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError, match="integer"):
+            call()
+    # integral values of any type are read as their integer
+    assert FieldElement(2.0, 5).residue == 2
+    assert Polynomial(3, 1, {(2.0,): Fraction(4, 1)}) == Polynomial(3, 1, {(2,): 1})
+    assert MatrixGFp([[2.0, 0], [0, np.uint64(2**64 - 1)]], 3) == MatrixGFp([[2, 0], [0, 0]], 3)
 
 
 def test_inverse_examples():

@@ -22,7 +22,7 @@ from invred import (
     is_invariant,
     reduce_degree,
 )
-from invred.group import as_vector
+from invred.group import as_vector, fixes
 
 
 def unipotent_2d_spec():
@@ -79,6 +79,24 @@ def test_largest_kernel_prime_inverts_exactly():
 def test_prime_above_kernel_range_is_rejected():
     with pytest.raises(DomainError):
         MatrixGFp([[1, 0], [0, 1]], 1048583)  # next prime after 1048573
+    # a spec over such a prime builds its generators, which refuse it
+    with pytest.raises(DomainError, match="exceeds 1048573"):
+        GroupSpec(10**18 + 3, 1, ([[1]],))
+
+
+def test_fixes_reads_points_as_residues():
+    # e_4 is fixed; 4 and -1 are 1 and 2 in GF(3), not points of their own
+    spec = example_action(3, 2, 0)
+    assert fixes(spec, [0, 0, 0, 4]) and fixes(spec, [[0, 0, 0, 1], [0, 0, 0, -1]])
+    assert not fixes(spec, [1, 0, 0, 0])
+
+
+def test_entries_beyond_int64_are_reduced():
+    # they used to overflow the int64 cast with a bare OverflowError
+    assert MatrixGFp([[10**30, 1], [0, 1]], 3) == MatrixGFp([[1, 1], [0, 1]], 3)
+    assert MatrixGFp([[2**63 + 1, -1], [0, 1]], 3) == MatrixGFp([[0, 2], [0, 1]], 3)
+    f = Polynomial.variable(3, 2, 0)
+    assert f.substitute([[10**30, 0], [0, 1]]) == f
 
 
 def test_matrix_shape_validation():
@@ -185,8 +203,11 @@ def test_mixed_moduli_are_refused_not_reduced():
     # x0 -> x0 + 4*x1 over GF(5) would read as x0 + x1 over GF(3)
     g = MatrixGFp([[1, 4], [0, 1]], 5)
     f = Polynomial.variable(3, 2, 0)
+    entries = [[FieldElement(4, 5), 0], [0, 1]]
     for call in (lambda: f.substitute(g), lambda: act(g, f),
-                 lambda: is_invariant(f, GroupSpec(Prime(5), 2, (g,)))):
+                 lambda: is_invariant(f, GroupSpec(Prime(5), 2, (g,))),
+                 lambda: MatrixGFp(g, 3), lambda: MatrixGFp(entries, 3),
+                 lambda: f.substitute(entries), lambda: GroupSpec(3, 2, (g,))):
         with pytest.raises(ShapeMismatchError, match=r"mixed moduli: GF\(3\) and GF\(5\)"):
             call()
 

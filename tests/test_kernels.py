@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import support
 from invred import (
+    DomainError,
     GroupSpec,
     MatrixGFp,
     Polynomial,
@@ -20,7 +21,7 @@ from invred import (
     induced_slice_matrix,
 )
 from invred.invariants import _invariant_rows, slice_images
-from invred.poly import slice_monomials
+from invred.poly import slice_levels, slice_monomials
 
 def random_array(rng, rows, cols, p):
     return np.array(
@@ -209,6 +210,16 @@ def test_kernels_exact_at_max_prime(case):
     assert_matches_sympy(a, BIG)
     expected = (a.astype(object) @ b) % BIG
     assert np.array_equal(_kernels.matmul_mod(a, b, BIG), expected.astype(np.int64))
+
+
+def test_level_walk_refuses_a_modulus_above_max_prime():
+    # at p = 4294967311 merged products wrap in int64: every row of the
+    # degree-2 images used to differ from the sparse substitution's
+    g, p = np.array([[1, 1], [0, 1]]), Prime(4294967311)
+    with pytest.raises(DomainError, match="exceeds 1048573"):
+        slice_images(g, 2, p)
+    with pytest.raises(DomainError, match="exceeds 1048573"):
+        next(slice_levels(g, p))
 
 
 def assert_canonical(level):

@@ -223,6 +223,13 @@ def test_substitute_composition_is_matrix_product():
     assert lhs == rhs
 
 
+def test_substitute_over_a_prime_beyond_int64():
+    # the residues of such a p do not fit in int64 and are read as Python ints
+    p = Prime(100000000000000000039)
+    f = Polynomial.variable(p, 2, 0)
+    assert f.substitute([[-1, 10**30], [0, 1]]) == Polynomial(p, 2, {(1, 0): -1, (0, 1): 10**30})
+
+
 def test_substitute_by_a_matrix_object_matches_its_entries():
     # a MatrixGFp over the polynomial's field is read as it is; one over
     # another field is refused, while a plain array is reduced mod p
