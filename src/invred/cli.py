@@ -39,7 +39,7 @@ from .formats import (
     polynomial_terms_json,
     render_report,
 )
-from .gfp import Prime, lucas_binomial, lucas_factors
+from .gfp import Prime, as_residue, lucas_binomial, lucas_factors
 from .group import example_action
 from .invariants import delta_over_fixed_points, epsilon, invariant_basis
 from .poly import slice_dimension
@@ -133,7 +133,7 @@ def _cmd_example(args) -> dict:
         )
     reduction = reduce_degree(spec, result.witness, e_m)
     return {
-        "inputs": {"p": int(p), "m": args.m, "lambda": args.lam % int(p)},
+        "inputs": {"p": int(p), "m": args.m, "lambda": as_residue(args.lam, p)},
         "result": {
             "spec": group_spec_json(spec),
             "group_order": result.searched_bound,

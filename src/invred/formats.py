@@ -8,11 +8,19 @@ Validation errors name the offending field by path, e.g.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
+# CPython's own SHA-256, the one hashlib falls back to; hashlib maps OpenSSL's
+# libcrypto, a few MB resident, into every process that writes a report
+if sys.version_info >= (3, 12):
+    from _sha2 import sha256
+else:
+    from _sha256 import sha256
+
 from .errors import DomainError, FormatError
-from .gfp import Prime
+from .gfp import Prime, as_residue
 from .group import GroupSpec, MatrixGFp
 from .poly import Polynomial
 
@@ -117,7 +125,7 @@ def parse_vector(text: str, spec: GroupSpec) -> list[int]:
     out = []
     for i, s in enumerate(parts):
         try:
-            out.append(int(s) % int(spec.p))
+            out.append(as_residue(int(s), spec.p))
         except ValueError:
             raise FormatError(f"vector[{i}]: {s!r} is not an integer") from None
     return out
@@ -137,11 +145,7 @@ def group_spec_json(spec: GroupSpec) -> dict:
 
 
 def digest_inputs(*chunks: str) -> str:
-    # imported here: hashlib loads OpenSSL's libcrypto, a few MB resident in
-    # every process that imports the CLI, and only reports need a digest
-    import hashlib
-
-    h = hashlib.sha256()
+    h = sha256()
     for chunk in chunks:
         h.update(chunk.encode())
         h.update(b"\x00")

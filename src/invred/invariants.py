@@ -229,17 +229,19 @@ def _norm_witness(
     Lucas' theorem is 0 mod p below q and 1 at q; lambda^q carries
     1 + ((-1)^q C(|G|-1, q) - 1)/d = 1 + (-d)/d = 0. So neither lambda nor a
     basis change enters the result. e_q comes from the product of
-    (1 + t*g.x_i) over the group truncated at t^q: |G|*q products of degree
-    at most q.
+    (1 + t*g.x_i) over the group truncated at t^q. After s forms, with
+    |G| - s still to come, only e_k with q - (|G| - s) <= k <= min(s, q) is
+    formed: a lower e_k cannot reach e_q, and a higher one is still 0. For a
+    p-group (d = 1) that is the running product, one product per form.
     """
     n = len(v)
     q = p**fact.r
     i = int(np.flatnonzero(v)[0])
     e = [Polynomial.one(p, n)] + [Polynomial.zero(p, n)] * q
-    for g in group:
+    for seen, g in enumerate(group, 1):
         # g.x_i is row i of g^-1; over the whole group the rows of g are the same multiset
         form = Polynomial.from_coordinates(p, n, 1, g.entries[i])
-        for k in range(q, 0, -1):
+        for k in range(min(seen, q), max(q - group.order + seen, 1) - 1, -1):
             e[k] = e[k] + e[k - 1] * form
     return e[q].scale((FieldElement(fact.d, p) * FieldElement(int(v[i]), p) ** q).inverse())
 

@@ -256,9 +256,10 @@ def _power(cache: list, e: int, p: int, cap: int | None) -> dict:
 def _expand(items: list, i: int, powers: list, p: int, cap: int | None) -> dict:
     """Unreduced terms of sum c * prod_(j >= i) image_j^(e_j) over the
     (e, c) in ``items``: split by e_i, expand each part in the later images,
-    then multiply it by one power of image_i."""
-    acc: dict = {}
+    then multiply it by one power of image_i. The part with e_i = 0 is its
+    own expansion, already within ``cap``, and starts the sum as it is."""
     if i == len(powers) - 1:
+        acc: dict = {}
         get = acc.get
         for exps, c in items:
             for k, v in _power(powers[i], exps[i], p, cap).items():
@@ -267,6 +268,8 @@ def _expand(items: list, i: int, powers: list, p: int, cap: int | None) -> dict:
     parts: dict[int, list] = {}
     for item in items:
         parts.setdefault(item[0][i], []).append(item)
+    free = parts.pop(0, None)
+    acc = {} if free is None else _expand(free, i + 1, powers, p, cap)
     for e, part in parts.items():
         inner = _reduced(_expand(part, i + 1, powers, p, cap), p)
         _mul_into(acc, _power(powers[i], e, p, cap), inner, cap)
@@ -283,9 +286,11 @@ def _units(n: int) -> tuple[tuple[tuple[int, ...], ...], Mapping]:
 
 def _substitute_terms(terms: Mapping, rows: list, p: int, cap: int | None) -> dict:
     """Unreduced terms of f(M x), f given by ``terms`` and M by its rows;
-    ``cap`` prunes as in ``_mul_into``."""
+    ``cap`` prunes as in ``_mul_into``, here from the images on: at cap 0
+    an image keeps only its x0 term."""
     units, one = _units(len(rows))
-    powers = [[one, {units[j]: c for j, c in enumerate(row) if c}] for row in rows]
+    width = len(rows) if cap is None or cap > 0 else 1
+    powers = [[one, {units[j]: c for j, c in enumerate(row[:width]) if c}] for row in rows]
     return _expand(list(terms.items()), 0, powers, p, cap)
 
 
@@ -501,8 +506,9 @@ class Polynomial:
 
         With ``max_rest_degree`` = k only the terms of degree at most k in
         x1..x_(n-1) are computed; every partial product above k is pruned.
-        The matrix is read by ``gfp.as_residues``: a ``MatrixGFp`` over another
-        field raises ShapeMismatchError.
+        A negative k raises DomainError. The matrix is read by
+        ``gfp.as_residues``: a ``MatrixGFp`` over another field raises
+        ShapeMismatchError.
         """
         p = self.p
         n = self.nvars
@@ -511,6 +517,8 @@ class Polynomial:
             raise ShapeMismatchError(
                 f"substitution matrix has shape {m.shape}, expected {(n, n)}"
             )
+        if max_rest_degree is not None and max_rest_degree < 0:
+            raise DomainError("max_rest_degree must be nonnegative")
         check_slice_limit(n, self.degree() or 0)
         acc = _substitute_terms(self.terms, m.tolist(), int(p), max_rest_degree)
         return self._wrap(_interned(acc, p))

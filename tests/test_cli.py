@@ -9,7 +9,8 @@ import invred
 import support
 from invred import epsilon, example_action
 from invred.cli import main
-from invred.formats import digest_inputs, group_spec_json, load_group_spec
+from invred.errors import FormatError
+from invred.formats import digest_inputs, group_spec_json, load_group_spec, parse_vector
 
 SECT3_P2 = {
     "p": 2,
@@ -275,6 +276,14 @@ def test_example_p3(capsys):
     assert report["result"]["group_order"] == 9
 
 
+def test_vector_and_lambda_are_read_as_residues(capsys):
+    assert parse_vector("0,0,0,7", example_action(5, 2)) == [0, 0, 0, 2]
+    with pytest.raises(FormatError, match="is not an integer"):
+        parse_vector("0,0,1.5,1", example_action(5, 2))
+    report = run_report(capsys, "example", "--p", "3", "--m", "2", "--lambda", "4")
+    assert report["inputs"]["lambda"] == 1
+
+
 def test_example_enumerates_the_group_once(capsys, monkeypatch):
     original = invred.group.enumerate_group
     calls = []
@@ -409,7 +418,7 @@ def test_reports_are_stable_up_to_timing(tmp_path, capsys):
 
 
 def test_cli_import_leaves_hashlib_unloaded():
-    # hashlib loads OpenSSL's libcrypto; only a rendered report needs it
+    # hashlib loads OpenSSL's libcrypto, a few MB resident
     proc = support.run_python(
         "-c",
         "import sys, invred.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))",
@@ -419,6 +428,30 @@ def test_cli_import_leaves_hashlib_unloaded():
     assert digest_inputs("a", "b") == (
         "sha256:8fb20ef63ced4145fc2e983ffe597d1dcff39154c3bf21f0fa9dde6a0c50fdc9"
     )
+
+
+def test_writing_a_report_leaves_openssl_unloaded(tmp_path):
+    # the report digest comes from CPython's built-in SHA-256, not hashlib's
+    spec = write_json(tmp_path, "spec.json", SECT3_P2)
+    target = tmp_path / "report.json"
+    proc = support.run_python(
+        "-c",
+        "import sys; from invred.cli import main; "
+        "code = main(['delta', '--spec', sys.argv[1], '--output', sys.argv[2]]); "
+        "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))",
+        str(spec), str(target),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert json.loads(target.read_text())["inputs"]["spec_digest"] == digest_inputs(spec.read_text())
+
+
+def test_digest_is_sha256_of_the_nul_terminated_chunks():
+    import hashlib
+
+    chunks = ["", "a", "spec \u00e9", json.dumps(SECT3_P2)]
+    expected = hashlib.sha256(b"".join(c.encode() + b"\x00" for c in chunks)).hexdigest()
+    assert digest_inputs(*chunks) == "sha256:" + expected
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -29,6 +29,7 @@ from invred import (
     invariant_basis,
     invariants,
     orbit_norm,
+    poly,
     reduce_degree,
 )
 
@@ -78,6 +79,44 @@ def test_substitute_matches_sympy_composition():
         if case % 3 == 0:
             m[-1] = list(m[0])
         assert terms_of(f.substitute(m)) == sympy_compose(f, m)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_substitute_with_absent_variables_matches_sympy(monkeypatch, p):
+    # one variable (not the last) is absent from every term and another from
+    # some: _expand then meets a level where every item has exponent 0, and
+    # levels where a zero-exponent part sits among others
+    levels = []
+    expand = poly._expand
+
+    def recording(items, i, powers, *rest):
+        if i < len(powers) - 1:
+            levels.append({exps[i] for exps, _ in items})
+        return expand(items, i, powers, *rest)
+
+    monkeypatch.setattr(poly, "_expand", recording)
+    rng = random.Random(89 + p)
+    for case in range(12):
+        n = rng.randrange(4, 7)
+        absent, partial = rng.sample(range(n - 1), 2)
+        terms = {}
+        for _ in range(rng.randrange(2, 7)):
+            exps = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
+            exps[absent] = 0
+            if rng.random() < 0.5:
+                exps[partial] = 0
+            terms[tuple(exps)] = 1 + rng.randrange(p - 1)
+        f = Polynomial(p, n, terms)
+        m = support.random_matrix(rng, p, n).entries.tolist()
+        if case % 3 == 0:
+            m[-1] = list(m[rng.randrange(n - 1)])
+        full = sympy_compose(f, m)
+        assert terms_of(f.substitute(m)) == full
+        k = rng.randrange(0, 5)
+        low = {e: c for e, c in full.items() if sum(e) - e[0] <= k}
+        assert terms_of(f.substitute(m, max_rest_degree=k)) == low
+    assert {0} in levels
+    assert any(0 in es and len(es) > 1 for es in levels)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -218,6 +257,33 @@ def test_norm_witness_is_the_reduced_orbit_norm(name):
             assert res.witness == reduced
             at_q += 1
     assert at_q > 0 or name in ("S3-GF2", "S4-GF3")
+
+
+@pytest.mark.parametrize("p, m, lam", [*((7, 2, lam) for lam in range(7)), (5, 3, 0)])
+def test_witness_at_scale_is_the_reduced_orbit_norm(monkeypatch, p, m, lam):
+    # |G| = q = p^2 here, beyond the default slice limit: epsilon at e_m is q
+    # and its witness, built from the orbit, is the reduced norm of x_(2m-1)
+    monkeypatch.setenv("INVRED_SLICE_LIMIT", "400000")
+    spec = example_action(p, m, lam)
+    n = 2 * m
+    e_m = [0] * (n - 1) + [1]
+    res = epsilon(spec, e_m)
+    assert res.value == p**2
+    norm = orbit_norm(spec, Polynomial.variable(p, n, n - 1))
+    assert res.witness == reduce_degree(spec, norm, e_m).f_tilde
+
+
+def test_witness_at_11_2_returns_promptly(monkeypatch):
+    # |G| = 121 orbit forms: forming only the e_k that can reach e_121 takes
+    # well under a second; forming every e_k up to e_121 took over ten
+    monkeypatch.setenv("INVRED_SLICE_LIMIT", "400000")
+    proc = support.run_python(
+        "-c",
+        "import invred as iv; print(iv.epsilon(iv.example_action(11, 2, 0), [0, 0, 0, 1]).value)",
+        timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "121"
 
 
 def test_epsilon_at_fixed_points_matches_full_walk_and_sympy():

@@ -268,6 +268,13 @@ def test_substitute_truncated_keeps_the_low_terms_outside_x0():
             assert f.substitute(m.entries, max_rest_degree=k).terms == low
 
 
+def test_substitute_refuses_a_negative_rest_degree():
+    f = Polynomial(3, 2, {(1, 1): 1})
+    with pytest.raises(DomainError, match="max_rest_degree"):
+        f.substitute([[1, 1], [0, 1]], max_rest_degree=-1)
+    assert f.substitute([[1, 1], [0, 1]], max_rest_degree=0).is_zero
+
+
 def test_substitute_by_one_term_images_matches_products():
     # each row of a scaled permutation matrix has one term, whose powers
     # substitute takes at once; * and ** build them one product at a time
