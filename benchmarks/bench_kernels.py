@@ -12,6 +12,10 @@ generator:
     slice       monomial-image tables of degree 1..--degree, in compressed
                 sparse rows, for a random n-variable substitution (n from
                 --nvars)
+    slice family
+                the degree 1..3 tables of the two example_action(3, 3, 0)
+                generators, the levels the fixed-point search builds; small
+                enough that per-call overhead, not work, sets their time
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -90,6 +94,11 @@ def main(argv=None):
     report(f"slice n={args.nvars} d={args.degree} ({level.dim})",
            time_call(lambda: slice_images(subst, args.degree, p), args.repeats),
            f"  ({len(level.vals)} nonzeros)")
+
+    gens = [g.entries for g in example_action(3, 3, 0).generators]
+    report("slice family d=1..3",
+           time_call(lambda: [slice_images(g, 3, 3) for g in gens], args.repeats),
+           f"  ({len(gens)} generators)")
 
 
 if __name__ == "__main__":

@@ -11,10 +11,10 @@ are residues mod p:
     matmul_mod               matrix product, accumulated in chunks
     next_slice_level         monomial-image tables of graded slices (slice
                              levels) in compressed sparse rows (``CSR``):
-                             each level is built by gathering the parent
-                             rows' entries, scaling and scattering them, and
-                             merging duplicate entries with one sort; the
-                             family groups' levels are under 1% nonzero
+                             one pass over all variables gathers the parent
+                             rows' entries, scales and scatters them, and one
+                             sort merges duplicates; the family groups'
+                             levels are under 1% nonzero
 
 Exactness rests on ``MAX_PRIME``, the largest accepted modulus: for
 p <= MAX_PRIME a product of two residues is below 2^40, and every unreduced
@@ -37,7 +37,8 @@ _INT64_SAFE = 2**62
 # Largest accepted modulus, the largest prime below 2^20: then a product of
 # residues is below 2^40, so every unreduced int64 sum stays below 2^63 (one
 # product per rref outer-product entry, 2^62 / (p-1)^2 per matmul chunk, and
-# at most n per merged next_slice_level entry for any n that fits in memory).
+# at most n per merged next_slice_level entry or per entry of the n-by-n
+# products in group.enumerate_group, for any n that fits in memory).
 MAX_PRIME = 1_048_573
 
 
@@ -174,29 +175,26 @@ def next_slice_level(prev: CSR, parent_rank, parent_var, promote, subst, p: int)
     ``parent_var[t]`` of ``subst``; ``promote[s, u]`` is the column of
     monomial s times x_u.
     """
-    nt = len(parent_rank)
-    keys, prods = [], []
-    for u in range(subst.shape[1]):
-        # only the rows whose parent variable's image involves x_u contribute:
-        # gather their parent rows' entries, scale, and move each column s to
-        # promote[s, u]
-        weights = subst[parent_var, u]
-        rows = np.flatnonzero(weights)
-        starts = prev.indptr[parent_rank[rows]]
-        lens = prev.indptr[parent_rank[rows] + 1] - starts
-        src = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        keys.append(np.repeat(rows * nt, lens) + promote[:, u][prev.cols[src]])
-        prods.append(prev.vals[src] * np.repeat(weights[rows], lens))
+    nt, n = len(parent_rank), subst.shape[1]
+    # every (u, t) with x_u in the image of t's parent variable, u-major: gather
+    # the parent rows' entries, scale, and move each column s to promote[s, u]
+    weights = subst[parent_var]
+    u, rows = np.nonzero(weights.T)
+    parents = parent_rank[rows]
+    starts = prev.indptr[parents]
+    lens = prev.indptr[parents + 1] - starts
+    src = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    key = np.repeat(rows * nt, lens) + promote.reshape(-1)[prev.cols[src] * n + np.repeat(u, lens)]
+    prods = prev.vals[src] * np.repeat(weights[rows, u], lens)
     # multiplying by x_u keeps the monomial order, so each u's keys ascend and
     # a stable sort merges n runs; for each u the targets promote[:, u] are
     # distinct, so a merged entry sums at most n products below p^2
-    key = np.concatenate(keys)
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     first = np.flatnonzero(first)
-    vals = np.add.reduceat(np.concatenate(prods)[order], first) % p
+    vals = np.add.reduceat(prods[order], first) % p
     nonzero = vals != 0
     key, vals = key[first[nonzero]], vals[nonzero]
     indptr = np.zeros(nt + 1, dtype=np.int64)

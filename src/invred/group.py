@@ -195,26 +195,28 @@ class GroupElements:
 
 
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_GROUP_CAP) -> GroupElements:
-    """Breadth-first closure of the generators under multiplication.
+    """Breadth-first closure of the generators under multiplication, searched
+    on their raw int64 entries (exact by MAX_PRIME); only new elements are wrapped.
 
     Raises GroupTooLargeError as soon as more than ``cap`` distinct elements
     appear.
     """
     if cap < 1:
         raise DomainError("cap must be positive")
+    p, gens = int(spec.p), [g.entries for g in spec.generators]
     identity = MatrixGFp.identity(spec.n, spec.p)
     seen = {identity.entries.tobytes(): identity}
-    frontier = [identity]
+    frontier = [identity.entries]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in spec.generators:
-                prod = m @ g
-                key = prod.entries.tobytes()
+            for g in gens:
+                prod = m @ g % p
+                key = prod.tobytes()
                 if key not in seen:
                     if len(seen) >= cap:
                         raise GroupTooLargeError(cap)
-                    seen[key] = prod
+                    seen[key] = MatrixGFp(prod, spec.p)
                     nxt.append(prod)
         frontier = nxt
     return GroupElements(tuple(seen.values()))

@@ -14,6 +14,7 @@ from invred import (
     Prime,
     ShapeMismatchError,
     SingularMatrixError,
+    _kernels,
     act,
     enumerate_group,
     epsilon,
@@ -149,6 +150,62 @@ def test_enumerate_cap_exceeded():
     spec = GroupSpec(Prime(3), 2, (MatrixGFp([[1, 0], [1, 1]], 3),))
     with pytest.raises(GroupTooLargeError):
         enumerate_group(spec, cap=2)
+
+
+def plain_search(spec):
+    """The breadth-first closure on tuples of Python ints: an oracle that
+    shares no arithmetic with the package."""
+    p, n = int(spec.p), spec.n
+    gens = [tuple(map(tuple, g.entries.tolist())) for g in spec.generators]
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
+            for i in range(n)
+        )
+
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    found, frontier = {identity: None}, [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = mul(m, g)
+                if prod not in found:
+                    found[prod] = None
+                    nxt.append(prod)
+        frontier = nxt
+    return list(found)
+
+
+def enumeration_specs():
+    family = ((2, 2, 0), (2, 6, 0), (3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 3, 0), (5, 2, 0))
+    specs = [example_action(p, m, lam) for p, m, lam in family]
+    stream = support.spec_stream(19)
+    specs += [next(stream)[0] for _ in range(12)]
+    # order 4 at the largest accepted prime: products of entries p - 1 are
+    # near 2^40, so the int64 search must not wrap
+    big = _kernels.MAX_PRIME
+    specs.append(GroupSpec(Prime(big), 2, (MatrixGFp([[0, big - 1], [1, 0]], big),)))
+    return specs
+
+
+def test_enumerate_order_matches_plain_search():
+    specs = enumeration_specs()
+    for spec in specs:
+        elements = enumerate_group(spec)
+        assert [tuple(map(tuple, g.entries.tolist())) for g in elements] == plain_search(spec)
+        assert all(g.p == spec.p and g.entries.dtype == np.int64 for g in elements)
+    assert enumerate_group(specs[-1]).order == 4
+
+
+def test_enumerate_cap_is_exactly_the_order():
+    for spec in enumeration_specs():
+        order = enumerate_group(spec).order
+        assert enumerate_group(spec, cap=order).order == order
+        if order > 1:
+            with pytest.raises(GroupTooLargeError):
+                enumerate_group(spec, cap=order - 1)
 
 
 # ---- the action -------------------------------------------------------------

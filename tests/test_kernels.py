@@ -21,7 +21,7 @@ from invred import (
     induced_slice_matrix,
 )
 from invred.invariants import _invariant_rows, slice_images
-from invred.poly import slice_levels, slice_monomials
+from invred.poly import parent_table, promote_table, slice_levels, slice_monomials
 
 def random_array(rng, rows, cols, p):
     return np.array(
@@ -234,8 +234,6 @@ def assert_canonical(level):
 
 
 def slice_images_checked(subst, degree, p):
-    from invred.poly import parent_table, promote_table
-
     n = subst.shape[0]
     level = _kernels.CSR.identity(1)
     for k in range(1, degree + 1):
@@ -249,8 +247,12 @@ def slice_images_checked(subst, degree, p):
     return level
 
 
-def test_next_level_matches_sparse_substitution():
-    # CSR recursion vs the independent sparse-polynomial route
+# a generator with few zeros: most merged entries of its levels sum several products
+DENSE = np.array([[1, 2, 0, 3], [1, 1, 1, 0], [0, 1, 1, 2], [4, 0, 1, 1]], dtype=np.int64)
+
+
+def level_cases():
+    """(p, degree, substitution) inputs shared by the level-kernel tests."""
     rng = random.Random(43)
     cases = []
     for p in (2, 3, 5):
@@ -264,12 +266,68 @@ def test_next_level_matches_sparse_substitution():
         cases.append((p, 4, support.random_unipotent(rng, p, 3).entries))
     cases.append((3, 4, np.eye(4, dtype=np.int64)[[2, 0, 3, 1]]))
     cases.append((5, 4, np.array([[1, 0, 2], [3, 0, 4], [0, 0, 1]], dtype=np.int64)))
+    cases.append((5, 6, DENSE))
     # the largest accepted prime, every weight p - 1: each merged entry sums
     # up to n products near p^2, which must not overflow before reduction
     big = _kernels.MAX_PRIME
     cases.append((big, 5, np.full((3, 3), big - 1, dtype=np.int64)))
     cases.append((big, 3, random_array(rng, 4, 4, big)))
-    for p, d, subst in cases:
+    # no products at all: the zero matrix, and one variable sent to 0
+    cases.append((3, 3, np.zeros((3, 3), dtype=np.int64)))
+    cases.append((3, 4, np.array([[2]], dtype=np.int64)))
+    cases.append((3, 4, np.array([[0]], dtype=np.int64)))
+    # the fixed_point_sweep groups (n = 12 for the first) and (3, 3), at the
+    # degrees the fixed-point search eliminates at
+    for p, m, lam in ((2, 6, 0), (3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 3, 0)):
+        for g in example_action(p, m, lam).generators:
+            cases.append((p, 3, g.entries))
+    return cases
+
+
+def reference_next_level(prev, parent_rank, parent_var, promote, subst, p):
+    """The level kernel built one variable at a time: each u gathers its own
+    rows' entries, and the keys are concatenated in order of u."""
+    nt = len(parent_rank)
+    keys, prods = [], []
+    for u in range(subst.shape[1]):
+        weights = subst[parent_var, u]
+        rows = np.flatnonzero(weights)
+        starts = prev.indptr[parent_rank[rows]]
+        lens = prev.indptr[parent_rank[rows] + 1] - starts
+        src = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        keys.append(np.repeat(rows * nt, lens) + promote[:, u][prev.cols[src]])
+        prods.append(prev.vals[src] * np.repeat(weights[rows], lens))
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    vals = np.add.reduceat(np.concatenate(prods)[order], first) % p
+    nonzero = vals != 0
+    key, vals = key[first[nonzero]], vals[nonzero]
+    indptr = np.zeros(nt + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // nt, minlength=nt), out=indptr[1:])
+    return _kernels.CSR(indptr, key % nt, vals)
+
+
+def test_next_level_matches_per_variable_reference():
+    # the one-pass build gathers the same products, and the merge's integer
+    # sums do not depend on their order: every level is the same, array for array
+    for p, d, subst in level_cases():
+        n = subst.shape[0]
+        level = ref = _kernels.CSR.identity(1)
+        for k in range(1, d + 1):
+            args = (*parent_table(n, k), promote_table(n, k - 1), subst, p)
+            level = _kernels.next_slice_level(level, *args)
+            ref = reference_next_level(ref, *args)
+            for got, want in zip(level, ref):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_next_level_matches_sparse_substitution():
+    # CSR recursion vs the independent sparse-polynomial route
+    for p, d, subst in level_cases():
         n = subst.shape[0]
         images = slice_images_checked(subst, d, p).dense()
         for t, exps in enumerate(slice_monomials(n, d)):
@@ -284,5 +342,6 @@ def test_bench_kernels_script_runs(capsys):
     script = Path(__file__).parents[1] / "benchmarks" / "bench_kernels.py"
     runpy.run_path(str(script))["main"](["--sizes", "8", "--repeats", "1", "--degree", "3"])
     out = capsys.readouterr().out
-    for label in ("rref 8x8", "rref family d=8 2574x1287", "matmul 8x8", "slice n=4 d=3"):
+    for label in ("rref 8x8", "rref family d=8 2574x1287", "matmul 8x8", "slice n=4 d=3",
+                  "slice family d=1..3"):
         assert label in out
